@@ -59,7 +59,8 @@ type Scenario struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// CheckInterference enables the Theorem-1 invariant checker on
-	// every grant (panics on violation).
+	// every grant — under RunParallel at several shards, at every
+	// window barrier instead (panics on violation).
 	CheckInterference bool
 	// Adaptive overrides the adaptive scheme's tuning (nil: defaults).
 	Adaptive *AdaptiveParams
@@ -141,9 +142,12 @@ type Result struct {
 // Schemes lists the available scheme names.
 func Schemes() []string { return registry.Names() }
 
-// Network is a running simulated cellular network.
+// Network is a running simulated cellular network. It runs on the
+// driver's serial configuration — one shard, one worker — so requests
+// and releases may be issued directly between runs, and the journal
+// records events in a single deterministic order.
 type Network struct {
-	sim    *driver.Sim
+	sim    *driver.Parallel
 	scheme string
 	nextID RequestID
 
@@ -190,8 +194,8 @@ func (sc Scenario) validate() error {
 }
 
 // buildParts applies the scenario defaults and constructs the pieces
-// shared by the serial and sharded drivers: grid, primary plan and the
-// scheme registry config. It returns the defaulted scenario so callers
+// shared by New and RunParallel: grid, primary plan and the scheme
+// registry config. It returns the defaulted scenario so callers
 // read back effective values (latency, scheme).
 func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Config, Scenario, error) {
 	if err := sc.validate(); err != nil {
@@ -277,14 +281,18 @@ func New(sc Scenario, opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
 	}
-	n.sim = driver.New(grid, assign, factory, driver.Options{
+	n.sim, err = driver.NewParallel(grid, assign, factory, driver.ParallelOptions{
 		Latency: sim.Time(sc.LatencyTicks),
 		Jitter:  sim.Time(sc.JitterTicks),
 		Seed:    sc.Seed,
 		Check:   sc.CheckInterference,
 		Obs:     n.reg,
 		Journal: n.journal,
+		Shards:  1,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("adca: %w", err)
+	}
 	if sc.Obs != nil && sc.Obs.MetricsAddr != "" {
 		srv, err := obs.Serve(sc.Obs.MetricsAddr, n.reg)
 		if err != nil {
@@ -353,7 +361,7 @@ func (n *Network) InUse(cell int) []int {
 func (n *Network) Mode(cell int) int { return n.sim.Allocator(hexgrid.CellID(cell)).Mode() }
 
 // Now returns the current virtual time in ticks.
-func (n *Network) Now() int64 { return int64(n.sim.Engine().Now()) }
+func (n *Network) Now() int64 { return int64(n.sim.Now(0)) }
 
 // Request submits a channel request at cell; cb (may be nil) runs when
 // it completes, with Result.ID set to the returned id. Use
@@ -371,7 +379,7 @@ func (n *Network) Request(cell int, cb func(Result)) RequestID {
 func (n *Network) RequestAt(at int64, cell int, cb func(Result)) RequestID {
 	n.nextID++
 	id := n.nextID
-	n.sim.Engine().At(sim.Time(at), func() { n.submit(id, cell, cb) })
+	n.sim.At(hexgrid.CellID(cell), sim.Time(at), func() { n.submit(id, cell, cb) })
 	return id
 }
 
@@ -397,11 +405,11 @@ func (n *Network) Release(cell, channel int) {
 
 // ReleaseAt schedules a release at an absolute virtual time.
 func (n *Network) ReleaseAt(at int64, cell, channel int) {
-	n.sim.Engine().At(sim.Time(at), func() { n.Release(cell, channel) })
+	n.sim.At(hexgrid.CellID(cell), sim.Time(at), func() { n.Release(cell, channel) })
 }
 
 // RunFor advances virtual time by d ticks.
-func (n *Network) RunFor(d int64) { n.sim.Run(n.sim.Engine().Now() + sim.Time(d)) }
+func (n *Network) RunFor(d int64) { n.sim.Run(n.sim.Now(0) + sim.Time(d)) }
 
 // RunUntilIdle processes events until the network quiesces; it reports
 // false if the event budget (1e9 events) was exhausted first.
@@ -449,8 +457,8 @@ type Stats struct {
 }
 
 // TransportStats is the transport-layer slice of Stats. The fault
-// injection and reliability counters stay zero on the deterministic DES
-// runtime (which models a reliable fabric) and become meaningful on the
+// injection and reliability counters stay zero on the deterministic
+// simulation (which models a reliable fabric) and become meaningful on the
 // live and distributed runtimes.
 type TransportStats struct {
 	// Messages and WireBytes count transport traffic (bytes only when
@@ -466,8 +474,7 @@ type TransportStats struct {
 // Stats returns the current statistics snapshot.
 func (n *Network) Stats() Stats { return networkStats(n.sim.Stats()) }
 
-// networkStats converts a driver snapshot (serial or sharded) into the
-// public Stats shape.
+// networkStats converts a driver snapshot into the public Stats shape.
 func networkStats(st driver.Stats) Stats {
 	return Stats{
 		Grants:              st.Grants,
@@ -597,8 +604,8 @@ type WorkloadStats struct {
 
 // workloadSpec translates the facade Workload (loads in Erlang) into
 // the internal traffic.Spec (rates per tick), building the profile
-// through the shared traffic.BuildProfile so the serial and sharded
-// runners — and the scenario loader — agree on profile semantics.
+// through the shared traffic.BuildProfile so RunWorkload, RunParallel
+// and the scenario loader agree on profile semantics.
 func workloadSpec(grid *hexgrid.Grid, w Workload) (traffic.Spec, error) {
 	if w.MeanHoldTicks == 0 {
 		w.MeanHoldTicks = 3000
@@ -607,8 +614,8 @@ func workloadSpec(grid *hexgrid.Grid, w Workload) (traffic.Spec, error) {
 		w.DurationTicks = 120_000
 	}
 	// A negative center selects the grid's interior cell — callers that
-	// build workloads before the grid exists (scenario files, the
-	// sharded runner) use it instead of Network.CenterCell.
+	// build workloads before the grid exists (scenario files,
+	// RunParallel) use it instead of Network.CenterCell.
 	center := func(c int) hexgrid.CellID {
 		if c < 0 {
 			return grid.InteriorCell()
@@ -668,44 +675,23 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	if err != nil {
 		return WorkloadStats{}, err
 	}
-	ts, err := traffic.Run(n.sim, spec)
+	ts, err := traffic.RunParallel(n.sim, spec)
 	if err != nil {
 		return WorkloadStats{}, err
 	}
 	return workloadStats(ts), nil
 }
 
-// ParallelConfig sizes the sharded runner for RunParallelWorkload.
-type ParallelConfig struct {
-	// Shards is the tile count (default min(16, cells)). It is part of
-	// the scenario only through per-cell request-id derivation; per-cell
-	// trajectories and all workload statistics are shard-count-invariant.
-	Shards int
-	// Workers is the goroutine count advancing shards (default NumCPU).
-	// Never affects results.
-	Workers int
-}
-
-// RunParallelWorkload runs the workload on the sharded driver with an
-// explicit ParallelConfig.
-//
-// Deprecated: use RunParallel, which takes the same sizing through
-// WithShards/WithWorkers and composes with the policy and obs options.
-func RunParallelWorkload(sc Scenario, w Workload, pc ParallelConfig) (WorkloadStats, Stats, error) {
-	return RunParallel(sc, w, WithShards(pc.Shards), WithWorkers(pc.Workers))
-}
-
-// RunParallel builds the scenario on the sharded driver and drives the
+// RunParallel builds the scenario on several shards and drives the
 // same workload RunWorkload would, including mobility: arrival, holding
 // and mobility randomness are per-cell substreams, so the run is
-// bit-identical to the serial RunWorkload trajectory at any shard and
-// worker count (WithShards/WithWorkers size the runner without changing
-// results). Scenario.Obs is not supported on the sharded driver
-// (journals would be schedule-dependent) and is ignored.
+// bit-identical to the one-shard RunWorkload trajectory at any shard
+// and worker count (WithShards/WithWorkers size the runner without
+// changing results). Scenario.Obs is not supported here (journals
+// would be schedule-dependent) and is ignored.
 func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats, error) {
 	c := applyOptions(sc, opts)
-	sc, pc := c.sc, c.pc
-	grid, assign, cfg, sc, err := buildParts(sc)
+	grid, assign, cfg, sc, err := buildParts(c.sc)
 	if err != nil {
 		return WorkloadStats{}, Stats{}, err
 	}
@@ -718,8 +704,8 @@ func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats,
 		Jitter:  sim.Time(sc.JitterTicks),
 		Seed:    sc.Seed,
 		Check:   sc.CheckInterference,
-		Shards:  pc.Shards,
-		Workers: pc.Workers,
+		Shards:  c.shards,
+		Workers: c.workers,
 	})
 	if err != nil {
 		return WorkloadStats{}, Stats{}, fmt.Errorf("adca: %w", err)

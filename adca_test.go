@@ -162,6 +162,10 @@ func TestHandoffWorkloadRejectsNegativeRate(t *testing.T) {
 	}
 }
 
+// TestRunParallelWorkloadMatchesSerial: RunParallel at 7 and 16 shards
+// reproduces the one-shard Network's RunWorkload exactly — workload
+// stats and every driver statistic, float aggregates included (the
+// per-cell merge runs in ascending cell order at any shard count).
 func TestRunParallelWorkloadMatchesSerial(t *testing.T) {
 	sc := adca.Scenario{Wrap: true, Seed: 9, CheckInterference: true}
 	w := adca.Workload{
@@ -180,23 +184,16 @@ func TestRunParallelWorkloadMatchesSerial(t *testing.T) {
 	if serial.HandoffAttempts == 0 {
 		t.Fatal("workload too tame to exercise handoffs")
 	}
-	for _, shards := range []int{1, 7, 16} {
+	for _, shards := range []int{7, 16} {
 		par, st, err := adca.RunParallel(sc, w, adca.WithShards(shards))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// WorkloadStats is derived from integer tallies only, so the
-		// serial and sharded runs must agree exactly. Driver floats
-		// (acquisition-delay aggregates) merge in different orders, so
-		// only the integer tallies are pinned there.
 		if par != serial {
 			t.Errorf("shards=%d workload stats diverged:\n par    %+v\n serial %+v", shards, par, serial)
 		}
-		if st.Grants != serialStats.Grants || st.Denies != serialStats.Denies ||
-			st.Messages != serialStats.Messages {
-			t.Errorf("shards=%d driver tallies diverged: par %d/%d/%d serial %d/%d/%d",
-				shards, st.Grants, st.Denies, st.Messages,
-				serialStats.Grants, serialStats.Denies, serialStats.Messages)
+		if st != serialStats {
+			t.Errorf("shards=%d driver stats diverged:\n par    %+v\n serial %+v", shards, st, serialStats)
 		}
 	}
 }

@@ -242,3 +242,31 @@ func TestObsPreservesDeterminism(t *testing.T) {
 		t.Fatal("instrumentation changed protocol outcomes")
 	}
 }
+
+// TestJournalDeterministic: two same-seed networks write byte-identical
+// journals — protocol records and the driver's request/result/release
+// records alike — so a journal is a reproducible artifact.
+func TestJournalDeterministic(t *testing.T) {
+	run := func() []byte {
+		var buf bytes.Buffer
+		net := adca.MustNew(adca.Scenario{Wrap: true, Seed: 17}, adca.WithObs(adca.ObsConfig{Journal: &buf}))
+		if _, err := net.RunWorkload(adca.Workload{
+			ErlangPerCell: 8, DurationTicks: 6_000, WarmupTicks: 600, Seed: 17,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := run(), run()
+	for _, kind := range []string{`"request"`, `"result"`, `"release"`} {
+		if !bytes.Contains(a, []byte(kind)) {
+			t.Fatalf("journal has no %s records", kind)
+		}
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("same-seed journals differ (%d vs %d bytes)", len(a), len(b))
+	}
+}

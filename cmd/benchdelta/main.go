@@ -109,7 +109,7 @@ func main() {
 //   - when the baseline has the same grid at the same workload length
 //     (Quick flags match), the hash must be unchanged — the parallel
 //     kernel's trajectory is pinned across commits the same way the
-//     serial kernel's allocation counts are;
+//     kernel bench's allocation counts are;
 //   - the speedup at the widest worker count must not drop below 1.0 —
 //     hard only when the report was taken on ≥2 cores, since on a
 //     single core "speedup" is pure scheduler noise.
@@ -223,7 +223,7 @@ const maxRoutesPerShard = 10
 //     constant — the sparse-routing guarantee read off the artifact;
 //   - bytes-per-cell regressions beyond the threshold fail hard:
 //     construction footprint is GC-settled heap, deterministic the way
-//     the serial kernel's allocation counts are.
+//     the kernel bench's allocation counts are.
 //
 // Events/sec is timing, so it only warns unless -strict.
 // steadyOccupancyFloor is the borrow-heavy floor the steady section

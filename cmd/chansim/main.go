@@ -16,10 +16,11 @@
 //	chansim -erlang 9 -metrics :9090 -linger 1m -journal run.jsonl
 //	chansim -config scenarios/mobility.json -shards 16
 //
-// Scale: -shards N runs the scenario on the sharded parallel driver
-// (N tiles, -workers goroutines). The trajectory — including mobility
-// (-handoff) — is bit-identical to the serial driver's at any shard and
-// worker count; only -metrics/-journal require the serial path.
+// Scale: -shards N runs the scenario on N tiles advanced by -workers
+// goroutines; without it the scenario runs through the one-shard
+// facade (adca.New). The trajectory — including mobility (-handoff) —
+// is bit-identical at any shard and worker count; only
+// -metrics/-journal require the one-shard facade.
 // -drain-horizon H truncates the post-duration drain H ticks after the
 // arrival window (held calls force-released in canonical order, the
 // measured window untouched; see DESIGN.md §9.8) — the way to run a
@@ -68,8 +69,8 @@ func main() {
 		warmStart    = flag.Bool("warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
 		drainHorizon = flag.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
 		seed         = flag.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
-		check        = flag.Bool("check", true, "verify the interference invariant on every grant")
-		shards       = flag.Int("shards", 0, "run on the sharded parallel driver with this many shards (0 = serial)")
+		check        = flag.Bool("check", true, "verify the interference invariant (on every grant on one shard, at every window barrier with -shards)")
+		shards       = flag.Int("shards", 0, "run on this many shards (0 = one-shard facade)")
 		predictor    = flag.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
 		lender       = flag.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
 
@@ -209,11 +210,11 @@ func main() {
 		w.HotRadius = hotRadius
 	}
 	if *shards > 0 {
-		// Sharded parallel run: same trajectory as the serial driver
+		// Sharded run: same trajectory as the one-shard facade
 		// (bit-identical stats at any shard/worker count), minus the
-		// serial-only observability sinks.
+		// observability sinks only the facade wires.
 		if *metricsAddr != "" || *journalPath != "" {
-			fmt.Fprintln(os.Stderr, "chansim: -metrics/-journal need the serial driver (drop -shards)")
+			fmt.Fprintln(os.Stderr, "chansim: -metrics/-journal need the one-shard facade (drop -shards)")
 			os.Exit(1)
 		}
 		ws, st, err := adca.RunParallel(sc, w, adca.WithShards(*shards), adca.WithWorkers(*workers))

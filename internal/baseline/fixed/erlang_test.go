@@ -31,8 +31,11 @@ func TestBlockingMatchesErlangB(t *testing.T) {
 		var measured float64
 		const seeds = 3
 		for seed := uint64(1); seed <= seeds; seed++ {
-			s := driver.New(grid, assign, fixed.NewFactory(assign), driver.Options{Seed: seed})
-			ts, err := traffic.Run(s, traffic.Spec{
+			s, err := driver.NewParallel(grid, assign, fixed.NewFactory(assign), driver.ParallelOptions{Seed: seed, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts, err := traffic.RunParallel(s, traffic.Spec{
 				Profile:  traffic.Uniform{PerCell: tc.erlang / meanHold},
 				MeanHold: meanHold,
 				Duration: 2_000_000,

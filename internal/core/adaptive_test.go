@@ -10,8 +10,9 @@ import (
 	"repro/internal/sim"
 )
 
-// newSim builds a wired adaptive scenario for tests.
-func newSim(t *testing.T, gcfg hexgrid.Config, channels int, opts driver.Options, params *core.Params) *driver.Sim {
+// newSim builds a wired adaptive scenario for tests on one shard, with
+// Theorem 1 checked on every grant.
+func newSim(t *testing.T, gcfg hexgrid.Config, channels int, opts driver.ParallelOptions, params *core.Params) *driver.Parallel {
 	t.Helper()
 	g, err := hexgrid.New(gcfg)
 	if err != nil {
@@ -25,6 +26,7 @@ func newSim(t *testing.T, gcfg hexgrid.Config, channels int, opts driver.Options
 		opts.Latency = 10
 	}
 	opts.Check = true
+	opts.Shards = 1
 	p := core.DefaultParams(opts.Latency)
 	if params != nil {
 		p = *params
@@ -33,7 +35,11 @@ func newSim(t *testing.T, gcfg hexgrid.Config, channels int, opts driver.Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	return driver.New(g, assign, f, opts)
+	s, err := driver.NewParallel(g, assign, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func smallGrid() hexgrid.Config {
@@ -41,7 +47,7 @@ func smallGrid() hexgrid.Config {
 }
 
 func TestLocalGrantImmediateZeroMessages(t *testing.T) {
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 1}, nil)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 1}, nil)
 	var got driver.Result
 	s.Request(3, func(r driver.Result) { got = r })
 	s.Drain(1000)
@@ -64,7 +70,7 @@ func TestLocalGrantImmediateZeroMessages(t *testing.T) {
 }
 
 func TestReleaseThenReuse(t *testing.T) {
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 2}, nil)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 2}, nil)
 	var first driver.Result
 	s.Request(0, func(r driver.Result) { first = r })
 	s.Drain(1000)
@@ -78,7 +84,7 @@ func TestReleaseThenReuse(t *testing.T) {
 }
 
 func TestExhaustPrimariesThenBorrow(t *testing.T) {
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 3}, nil)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 3}, nil)
 	cell := s.Grid().InteriorCell()
 	primaries := s.Assignment().Primary[cell].Len()
 	granted := 0
@@ -128,7 +134,7 @@ func TestDeniedWhenRegionExhausted(t *testing.T) {
 	// One isolated cell with a tiny spectrum: all channels are primary.
 	// After they run out, requests must be denied, not wedged.
 	s := newSim(t, hexgrid.Config{Shape: hexgrid.Hexagon, Radius: 0, ReuseDistance: 1}, 3,
-		driver.Options{Seed: 4}, nil)
+		driver.ParallelOptions{Seed: 4}, nil)
 	outcomes := make([]bool, 0, 5)
 	for i := 0; i < 5; i++ {
 		s.Request(0, func(r driver.Result) { outcomes = append(outcomes, r.Granted) })
@@ -155,7 +161,7 @@ func TestDeniedWhenRegionExhausted(t *testing.T) {
 func TestSaturatedRegionDropsNotWedges(t *testing.T) {
 	// Saturate an entire interference neighborhood far beyond the
 	// spectrum; every request must complete (grant or deny).
-	s := newSim(t, smallGrid(), 21, driver.Options{Seed: 5}, nil)
+	s := newSim(t, smallGrid(), 21, driver.ParallelOptions{Seed: 5}, nil)
 	cell := s.Grid().InteriorCell()
 	targets := append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...)
 	total := 0
@@ -184,7 +190,7 @@ func TestSaturatedRegionDropsNotWedges(t *testing.T) {
 func TestConcurrentNeighborsNoInterference(t *testing.T) {
 	// Two adjacent cells hammer requests simultaneously; Theorem 1 must
 	// hold throughout (the driver checks on every grant).
-	s := newSim(t, smallGrid(), 35, driver.Options{Seed: 6}, nil)
+	s := newSim(t, smallGrid(), 35, driver.ParallelOptions{Seed: 6}, nil)
 	a := s.Grid().InteriorCell()
 	b := s.Grid().Interference(a)[0]
 	for i := 0; i < 12; i++ {
@@ -207,7 +213,7 @@ func TestSearchFindsChannelWhenAvailable(t *testing.T) {
 	// claim is that a search finds a channel whenever one is free.
 	p := core.DefaultParams(10)
 	p.Alpha = 0
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 7}, &p)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 7}, &p)
 	cell := s.Grid().InteriorCell()
 	primaries := s.Assignment().Primary[cell].Len()
 	granted := 0
@@ -235,7 +241,7 @@ func TestSearchFindsChannelWhenAvailable(t *testing.T) {
 func TestAlphaBoundsUpdateAttempts(t *testing.T) {
 	p := core.DefaultParams(10)
 	p.Alpha = 2
-	s := newSim(t, smallGrid(), 21, driver.Options{Seed: 8}, &p)
+	s := newSim(t, smallGrid(), 21, driver.ParallelOptions{Seed: 8}, &p)
 	cell := s.Grid().InteriorCell()
 	for _, c := range append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...) {
 		for i := 0; i < 3; i++ {
@@ -252,7 +258,7 @@ func TestAlphaBoundsUpdateAttempts(t *testing.T) {
 }
 
 func TestModeReturnsToLocalAfterLoadSubsides(t *testing.T) {
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 9}, nil)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 9}, nil)
 	cell := s.Grid().InteriorCell()
 	n := s.Assignment().Primary[cell].Len() + 2
 	var held []chanset.Channel
@@ -268,10 +274,9 @@ func TestModeReturnsToLocalAfterLoadSubsides(t *testing.T) {
 		t.Fatalf("cell with exhausted primaries should be borrowing, mode=%d", got)
 	}
 	// Release everything slowly so the NFC predictor sees recovery.
-	e := s.Engine()
 	for i, ch := range held {
 		ch := ch
-		e.After(sim.Time(1000+500*i), func() { s.Release(cell, ch) })
+		s.After(cell, sim.Time(1000+500*i), func() { s.Release(cell, ch) })
 	}
 	s.Drain(10_000_000)
 	// Trigger a final mode check with one more (cheap) request/release.

@@ -11,7 +11,7 @@ import (
 )
 
 // benchSim builds a wired adaptive scenario without test assertions.
-func benchSim(b *testing.B, channels int) *driver.Sim {
+func benchSim(b *testing.B, channels int) *driver.Parallel {
 	b.Helper()
 	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	if err != nil {
@@ -25,7 +25,11 @@ func benchSim(b *testing.B, channels int) *driver.Sim {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return driver.New(g, assign, f, driver.Options{Latency: 10, Seed: 1})
+	s, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // BenchmarkLocalGrant measures the zero-message local acquisition path
@@ -74,7 +78,6 @@ func BenchmarkSaturatedNeighborhood(b *testing.B) {
 	s := benchSim(b, 21)
 	cell := s.Grid().InteriorCell()
 	targets := append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...)
-	e := s.Engine()
 	rng := sim.NewRand(1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -82,7 +85,7 @@ func BenchmarkSaturatedNeighborhood(b *testing.B) {
 		c := targets[rng.Intn(len(targets))]
 		s.Request(c, func(r driver.Result) {
 			if r.Granted {
-				e.After(200, func() { s.Release(r.Cell, r.Ch) })
+				s.After(r.Cell, 200, func() { s.Release(r.Cell, r.Ch) })
 			}
 		})
 		if i%16 == 15 {

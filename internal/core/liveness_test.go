@@ -14,10 +14,10 @@ import (
 )
 
 // fullyInterfering builds a 7-cell clique (hexagon radius 1, reuse 2).
-func fullyInterfering(t *testing.T, channels int, seed uint64) *driver.Sim {
+func fullyInterfering(t *testing.T, channels int, seed uint64) *driver.Parallel {
 	t.Helper()
 	return newSim(t, hexgrid.Config{Shape: hexgrid.Hexagon, Radius: 1, ReuseDistance: 2},
-		channels, driver.Options{Seed: seed}, nil)
+		channels, driver.ParallelOptions{Seed: seed}, nil)
 }
 
 func TestSimultaneousSearchChainResolves(t *testing.T) {
@@ -109,17 +109,16 @@ func TestStaggeredArrivalsUnderContention(t *testing.T) {
 	// Requests arrive one tick apart at every cell of the clique —
 	// maximal overlap between quiescence waits, deferrals and retries.
 	s := fullyInterfering(t, 7, 3)
-	e := s.Engine()
 	completed := 0
 	const total = 21
 	for i := 0; i < total; i++ {
 		cell := hexgrid.CellID(i % 7)
 		at := sim.Time(i)
-		e.At(at, func() {
+		s.At(cell, at, func() {
 			s.Request(cell, func(r driver.Result) {
 				completed++
 				if r.Granted {
-					e.After(300, func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, 300, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})
@@ -143,18 +142,17 @@ func TestNoStarvationUnderChurn(t *testing.T) {
 	// with bounded α the victim must keep completing (grant or deny),
 	// never wait unboundedly (the update-scheme starvation the paper
 	// contrasts against).
-	s := newSim(t, smallGrid(), 21, driver.Options{Seed: 4}, nil)
+	s := newSim(t, smallGrid(), 21, driver.ParallelOptions{Seed: 4}, nil)
 	victim := s.Grid().InteriorCell()
-	e := s.Engine()
 	rng := sim.NewRand(9)
 	// Churn: neighbors request/release constantly.
 	for i := 0; i < 300; i++ {
 		j := s.Grid().Interference(victim)[rng.Intn(18)]
 		at := sim.Time(rng.Intn(60_000))
-		e.At(at, func() {
+		s.At(j, at, func() {
 			s.Request(j, func(r driver.Result) {
 				if r.Granted {
-					e.After(rng.ExpTicks(2000), func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, rng.ExpTicks(2000), func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})
@@ -164,14 +162,14 @@ func TestNoStarvationUnderChurn(t *testing.T) {
 	var worst sim.Time
 	for i := 0; i < 30; i++ {
 		at := sim.Time(i * 2000)
-		e.At(at, func() {
+		s.At(victim, at, func() {
 			s.Request(victim, func(r driver.Result) {
 				victimDone++
 				if d := r.TotalDelay(); d > worst {
 					worst = d
 				}
 				if r.Granted {
-					e.After(1000, func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, 1000, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})

@@ -42,9 +42,8 @@ func TestRandomScenarioProperty(t *testing.T) {
 			t.Logf("grid: %v", err)
 			return false
 		}
-		s := newSim(t, gcfg, channels, driver.Options{Seed: seed}, nil)
+		s := newSim(t, gcfg, channels, driver.ParallelOptions{Seed: seed}, nil)
 		rng := sim.NewRand(seed ^ 0xabcdef)
-		e := s.Engine()
 		completed, submitted := 0, 0
 		at := sim.Time(0)
 		for i := 0; i < 120; i++ {
@@ -52,11 +51,11 @@ func TestRandomScenarioProperty(t *testing.T) {
 			cell := hexgrid.CellID(rng.Intn(g.NumCells()))
 			hold := rng.ExpTicks(2500)
 			submitted++
-			e.At(at, func() {
+			s.At(cell, at, func() {
 				s.Request(cell, func(r driver.Result) {
 					completed++
 					if r.Granted {
-						e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+						s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 					}
 				})
 			})

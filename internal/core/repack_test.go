@@ -14,11 +14,11 @@ import (
 	"repro/internal/sim"
 )
 
-func repackSim(t *testing.T, repack bool, seed uint64) *driver.Sim {
+func repackSim(t *testing.T, repack bool, seed uint64) *driver.Parallel {
 	t.Helper()
 	p := core.DefaultParams(10)
 	p.Repack = repack
-	return newSim(t, smallGrid(), 70, driver.Options{Seed: seed}, &p)
+	return newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: seed}, &p)
 }
 
 func TestRepackMovesBorrowedCallToFreedPrimary(t *testing.T) {
@@ -101,8 +101,7 @@ func TestRepackFullWorkloadSafeAndComplete(t *testing.T) {
 	// and clean drain must all hold with channel moves in the mix.
 	p := core.DefaultParams(10)
 	p.Repack = true
-	s := newSim(t, smallGrid(), 21, driver.Options{Seed: 3}, &p)
-	e := s.Engine()
+	s := newSim(t, smallGrid(), 21, driver.ParallelOptions{Seed: 3}, &p)
 	rng := sim.NewRand(77)
 	completed, submitted := 0, 0
 	for i := 0; i < 400; i++ {
@@ -110,11 +109,11 @@ func TestRepackFullWorkloadSafeAndComplete(t *testing.T) {
 		gap := rng.ExpTicks(25)
 		hold := rng.ExpTicks(4000)
 		submitted++
-		e.At(sim.Time(i)*30+gap, func() {
+		s.At(cell, sim.Time(i)*30+gap, func() {
 			s.Request(cell, func(r driver.Result) {
 				completed++
 				if r.Granted {
-					e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})

@@ -14,7 +14,7 @@ import (
 // wedging (everything completes).
 func randomWorkload(t *testing.T, seed uint64, gcfg hexgrid.Config, channels, events int, meanHold sim.Time) {
 	t.Helper()
-	s := newSim(t, gcfg, channels, driver.Options{Seed: seed}, nil)
+	s := newSim(t, gcfg, channels, driver.ParallelOptions{Seed: seed}, nil)
 	rng := sim.NewRand(seed)
 	n := s.Grid().NumCells()
 	completed := 0
@@ -23,7 +23,6 @@ func randomWorkload(t *testing.T, seed uint64, gcfg hexgrid.Config, channels, ev
 	release = func(cell hexgrid.CellID, ch chanset.Channel) {
 		s.Release(cell, ch)
 	}
-	e := s.Engine()
 	at := sim.Time(0)
 	for i := 0; i < events; i++ {
 		at += rng.ExpTicks(30)
@@ -31,11 +30,11 @@ func randomWorkload(t *testing.T, seed uint64, gcfg hexgrid.Config, channels, ev
 		hold := rng.ExpTicks(float64(meanHold))
 		submitted++
 		func(cell hexgrid.CellID, at sim.Time, hold sim.Time) {
-			e.At(at, func() {
+			s.At(cell, at, func() {
 				s.Request(cell, func(r driver.Result) {
 					completed++
 					if r.Granted {
-						e.After(hold, func() { release(r.Cell, r.Ch) })
+						s.After(r.Cell, hold, func() { release(r.Cell, r.Ch) })
 					}
 				})
 			})
@@ -102,18 +101,17 @@ func TestRandomWorkloadManySeeds(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, uint64) {
-		s := newSim(t, smallGrid(), 35, driver.Options{Seed: 42}, nil)
+		s := newSim(t, smallGrid(), 35, driver.ParallelOptions{Seed: 42}, nil)
 		rng := sim.NewRand(99)
-		e := s.Engine()
 		at := sim.Time(0)
 		for i := 0; i < 300; i++ {
 			at += rng.ExpTicks(20)
 			cell := hexgrid.CellID(rng.Intn(s.Grid().NumCells()))
 			hold := rng.ExpTicks(3000)
-			e.At(at, func() {
+			s.At(cell, at, func() {
 				s.Request(cell, func(r driver.Result) {
 					if r.Granted {
-						e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+						s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 					}
 				})
 			})
@@ -133,7 +131,7 @@ func TestNoModeFlappingUnderSteadyLoad(t *testing.T) {
 	// Hysteresis claim of §3.5: θ_l < θ_h prevents oscillation. Hold a
 	// steady load just around the borrowing threshold and count mode
 	// changes.
-	s := newSim(t, smallGrid(), 70, driver.Options{Seed: 77}, nil)
+	s := newSim(t, smallGrid(), 70, driver.ParallelOptions{Seed: 77}, nil)
 	cell := s.Grid().InteriorCell()
 	prim := s.Assignment().Primary[cell].Len()
 	// Occupy all but one primary, then run a slow steady churn of one
@@ -143,13 +141,12 @@ func TestNoModeFlappingUnderSteadyLoad(t *testing.T) {
 		s.Request(cell, func(r driver.Result) { held = append(held, r.Ch) })
 	}
 	s.Drain(1_000_000)
-	e := s.Engine()
 	for i := 0; i < 50; i++ {
 		at := sim.Time(10_000 + i*4000)
-		e.At(at, func() {
+		s.At(cell, at, func() {
 			s.Request(cell, func(r driver.Result) {
 				if r.Granted {
-					e.After(2000, func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, 2000, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})
@@ -161,34 +158,33 @@ func TestNoModeFlappingUnderSteadyLoad(t *testing.T) {
 	}
 }
 
-// TestInterferenceInvariantEveryStep walks a hot scenario one event at a
-// time, checking the whole grid after every single event. Much stronger
-// than checking at grants only.
+// TestInterferenceInvariantEveryStep walks a hot scenario one tick at a
+// time, checking the whole grid after every tick — on top of the check
+// of the granting cell inside every grant event. Much stronger than
+// checking at grants only.
 func TestInterferenceInvariantEveryStep(t *testing.T) {
-	s := newSim(t, smallGrid(), 21, driver.Options{Seed: 5150}, nil)
+	s := newSim(t, smallGrid(), 21, driver.ParallelOptions{Seed: 5150}, nil)
 	cell := s.Grid().InteriorCell()
 	targets := append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...)
 	rng := sim.NewRand(7)
-	e := s.Engine()
 	for i := 0; i < 60; i++ {
 		c := targets[rng.Intn(len(targets))]
 		at := sim.Time(rng.Intn(2000))
-		e.At(at, func() {
+		s.At(c, at, func() {
 			s.Request(c, func(r driver.Result) {
 				if r.Granted {
-					e.After(sim.Time(500+rng.Intn(3000)), func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, sim.Time(500+rng.Intn(3000)), func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})
 	}
-	steps := 0
-	for e.Step() {
-		steps++
-		if steps > 2_000_000 {
+	for now := sim.Time(0); s.Kernel().Pending() > 0; now++ {
+		if now > 2_000_000 {
 			t.Fatal("no quiescence")
 		}
+		s.Run(now)
 		if err := s.CheckInvariant(); err != nil {
-			t.Fatalf("after %d events: %v", steps, err)
+			t.Fatalf("at tick %d: %v", now, err)
 		}
 	}
 	if s.Outstanding() != 0 {

@@ -12,8 +12,12 @@ import (
 	"repro/internal/trace"
 )
 
-func fixture(t *testing.T, opts driver.Options) *driver.Sim {
+// fixture wires the fixed scheme on one shard — the serial
+// configuration, where requests and releases may be issued directly
+// between runs.
+func fixture(t *testing.T, opts driver.ParallelOptions) *driver.Parallel {
 	t.Helper()
+	opts.Shards = 1
 	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	if err != nil {
 		t.Fatal(err)
@@ -22,18 +26,22 @@ func fixture(t *testing.T, opts driver.Options) *driver.Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return driver.New(g, assign, fixed.NewFactory(assign), opts)
+	p, err := driver.NewParallel(g, assign, fixed.NewFactory(assign), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	if s.Latency() != 10 {
 		t.Fatalf("default latency = %d", s.Latency())
 	}
 }
 
 func TestRequestReleaseLifecycle(t *testing.T) {
-	s := fixture(t, driver.Options{Seed: 1, TraceSize: 16})
+	s := fixture(t, driver.ParallelOptions{Seed: 1, TraceSize: 16})
 	var res driver.Result
 	id := s.Request(5, func(r driver.Result) { res = r })
 	if id == 0 {
@@ -61,7 +69,7 @@ func TestRequestReleaseLifecycle(t *testing.T) {
 }
 
 func TestTraceDisabledByDefault(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	s.Request(0, nil)
 	s.Drain(100)
 	if s.Trace() != nil {
@@ -70,7 +78,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	s := fixture(t, driver.Options{Seed: 2})
+	s := fixture(t, driver.ParallelOptions{Seed: 2})
 	cell := s.Grid().InteriorCell()
 	prim := s.Assignment().Primary[cell].Len()
 	for i := 0; i < prim+2; i++ {
@@ -103,7 +111,7 @@ func TestEmptyStatsSafe(t *testing.T) {
 }
 
 func TestWatchdogAndOutstanding(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	if s.Outstanding() != 0 || s.Stalled(100) {
 		t.Fatal("fresh sim must be idle")
 	}
@@ -115,7 +123,7 @@ func TestWatchdogAndOutstanding(t *testing.T) {
 }
 
 func TestModeOccupancyAllLocal(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	occ := s.ModeOccupancy()
 	if occ[0] != 1 || occ[1]+occ[2]+occ[3] != 0 {
 		t.Fatalf("occupancy = %v", occ)
@@ -123,7 +131,7 @@ func TestModeOccupancyAllLocal(t *testing.T) {
 }
 
 func TestCheckInvariantCleanAndViolation(t *testing.T) {
-	s := fixture(t, driver.Options{Seed: 3})
+	s := fixture(t, driver.ParallelOptions{Seed: 3})
 	s.Request(0, nil)
 	s.Drain(100)
 	if err := s.CheckInvariant(); err != nil {
@@ -132,7 +140,7 @@ func TestCheckInvariantCleanAndViolation(t *testing.T) {
 }
 
 func TestReleaseUnheldPanics(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -148,7 +156,10 @@ func TestJitterOptionStillSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driver.New(g, assign, f, driver.Options{Latency: 10, Jitter: 7, Seed: 4, Check: true})
+	s, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{Latency: 10, Jitter: 7, Seed: 4, Check: true, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cell := g.InteriorCell()
 	done := 0
 	for i := 0; i < 8; i++ {
@@ -167,7 +178,7 @@ func TestJitterOptionStillSafe(t *testing.T) {
 }
 
 func TestAllocatorAccessor(t *testing.T) {
-	s := fixture(t, driver.Options{})
+	s := fixture(t, driver.ParallelOptions{})
 	if s.Allocator(3) == nil {
 		t.Fatal("allocator accessor broken")
 	}
@@ -177,7 +188,7 @@ func TestAllocatorAccessor(t *testing.T) {
 }
 
 func TestResultStringsViaTraceDump(t *testing.T) {
-	s := fixture(t, driver.Options{TraceSize: 8})
+	s := fixture(t, driver.ParallelOptions{TraceSize: 8})
 	s.Request(1, nil)
 	s.Drain(100)
 	var b strings.Builder

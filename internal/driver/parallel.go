@@ -1,30 +1,34 @@
+// Package driver wires a scenario together: the hexagonal grid, the
+// primary-channel plan, one allocator per cell, the deterministic
+// sharded event kernel (sim.Shards), the Theorem-1 interference checker
+// and the Theorem-2 progress watchdog, plus the latency/traffic
+// accounting every experiment reports.
+//
+// The driver exposes a programmatic request/release API; workload
+// generation on top of it lives in internal/traffic. Serial runs are
+// the one-shard case: Shards: 1 with its default single worker.
+//
+// Cells are partitioned into contiguous tiles (hexgrid.Partition); each
+// shard owns the driver state of its cells, and the only cross-shard
+// interaction is message delivery, which the kernel's lookahead windows
+// make safe.
+//
+// Determinism: a run's trajectory — every stat, the trace, and the
+// final channel sets — is a function of (scenario, seed) only; neither
+// the shard count nor the worker count changes results. Request IDs are
+// derived per cell (id = count*N + cell + 1), so issuing them needs no
+// cross-shard coordination; they are correlation tokens only — the
+// protocol never puts them in messages. See DESIGN.md §9.5 for the
+// argument.
+//
+// Two behaviours depend on the shard count:
+//   - Theorem-1 checking runs per grant on one shard, and at every
+//     window barrier (a consistent cut) otherwise: reading a remote
+//     cell's channel set mid-window would race its shard.
+//   - The Journal needs one shard: JSONL emission order across shards
+//     is scheduling-dependent, which would silently break the
+//     byte-identical-artifacts contract.
 package driver
-
-// Parallel is the sharded counterpart of Sim: the same wiring (grid,
-// primary plan, one allocator per cell, interference checker, latency
-// accounting) on top of the conservative parallel kernel sim.Shards
-// instead of the serial sim.Engine. Cells are partitioned into
-// contiguous tiles (hexgrid.Partition); each shard owns the driver
-// state of its cells, and the only cross-shard interaction is message
-// delivery, which the kernel's lookahead windows make safe.
-//
-// Determinism: a run's trajectory — every per-cell stat, the trace, and
-// the final channel sets — is a function of (scenario, seed, shard
-// count) only. The worker count changes wall-clock, never results; the
-// shard count is part of the scenario (fixed defaults keep it machine-
-// independent). See DESIGN.md §9.5 for the argument.
-//
-// Divergences from the serial Sim, all deliberate:
-//   - Request IDs are derived per cell (id = count*N + cell + 1) instead
-//     of a global counter, so issuing them needs no cross-shard
-//     coordination. IDs are correlation tokens only — the protocol
-//     never puts them in messages — so trajectories are unaffected.
-//   - Theorem-1 checking runs at every window barrier (a consistent
-//     cut) rather than per grant: reading a remote cell's channel set
-//     mid-window would race its shard.
-//   - No Journal option: JSONL emission order across shards is
-//     scheduling-dependent, which would silently break the byte-
-//     identical-artifacts contract. Use the serial driver for journals.
 
 import (
 	"fmt"
@@ -42,37 +46,47 @@ import (
 	"repro/internal/transport"
 )
 
-// ParallelOptions configure a sharded simulation. The embedded fields
-// mirror Options; Shards and Workers control the kernel.
+// ParallelOptions configure a simulation.
 type ParallelOptions struct {
 	// Latency is the one-way message delay T in ticks (default 10). It
 	// is also the kernel's lookahead window width.
 	Latency sim.Time
 	// Jitter adds a uniform extra delay in [0, Jitter] per message,
-	// drawn from a per-sender-cell substream (the serial driver uses one
-	// global jitter stream, so jittered serial and sharded runs are
-	// distinct scenarios; unjittered runs need no stream at all).
+	// drawn from a per-sender-cell substream (unjittered runs need no
+	// stream at all).
 	Jitter sim.Time
-	// Seed drives all randomness (per-cell substreams are derived with
-	// the same labels as the serial driver).
+	// Seed drives all randomness (per-cell substreams are derived).
 	Seed uint64
-	// Check verifies Theorem 1 over the whole grid at every window
-	// barrier. Panics on violation.
+	// Check verifies Theorem 1 and panics on violation — a violation is
+	// never a recoverable condition, it falsifies the protocol. With one
+	// shard the granting cell is checked on every grant, inside the
+	// granting event; with more, the whole grid is checked at every
+	// window barrier.
 	Check bool
 	// TraceSize, if positive, keeps a per-shard ring of the most recent
 	// lifecycle events; Trace() merges them in canonical order.
 	TraceSize int
-	// Wire routes every message through the binary codec.
+	// Wire routes every message through the binary codec (encode on
+	// send, decode on delivery), validating serialization against live
+	// traffic and accounting wire bytes in Stats.Messages.Bytes.
 	Wire bool
-	// DelayBuckets sizes the acquisition-delay histogram (default 64).
+	// DelayBuckets sizes the acquisition-delay histogram in units of
+	// Latency (default 64 buckets of T/2).
 	DelayBuckets int
-	// Obs binds the driver-level instruments (all atomic, so shard
-	// workers may increment them concurrently).
+	// Obs, when non-nil, binds driver-level instruments into the
+	// registry: request outcomes, the outstanding-request gauge, the
+	// acquisition-delay histogram and the transport message counter.
+	// All are atomic, so shard workers may increment them concurrently.
+	// Protocol-core instruments are bound separately via
+	// registry.Config.Obs.
 	Obs *obs.Registry
-	// Shards is the number of tiles (default min(16, cells)). It is part
-	// of the scenario: different shard counts are different (each
-	// internally deterministic) trajectories only through the per-cell
-	// request-id derivation — per-cell results are shard-count-invariant.
+	// Journal, when non-nil, receives request lifecycle records
+	// (request/result/release) in addition to whatever the protocol
+	// core emits through registry.Config.Obs. It requires Shards == 1.
+	Journal *obs.Journal
+	// Shards is the number of tiles (default min(16, cells)). Results
+	// are shard-count-invariant; it decides where Check runs and
+	// whether a Journal is allowed.
 	Shards int
 	// Workers is the number of goroutines advancing shards (default
 	// NumCPU, capped at Shards). Never affects results.
@@ -100,15 +114,119 @@ func (o *ParallelOptions) applyDefaults(cells int) {
 	}
 }
 
+// Result describes a completed channel request.
+type Result struct {
+	ID      alloc.RequestID
+	Cell    hexgrid.CellID
+	Granted bool
+	Ch      chanset.Channel
+	// Submitted/Began/Done are the request lifecycle times: submission,
+	// start of protocol work (after station queueing), completion.
+	Submitted, Began, Done sim.Time
+}
+
+// AcquisitionDelay is the protocol time (Began → Done) in ticks.
+func (r Result) AcquisitionDelay() sim.Time { return r.Done - r.Began }
+
+// TotalDelay includes station queueing (Submitted → Done).
+func (r Result) TotalDelay() sim.Time { return r.Done - r.Submitted }
+
+// Stats is the aggregate outcome of a run.
+type Stats struct {
+	// Grants and Denies count completed requests.
+	Grants, Denies uint64
+	// Messages is the transport traffic.
+	Messages transport.Stats
+	// AcqDelay is the acquisition (protocol) delay distribution of
+	// granted requests, in ticks.
+	AcqDelay metrics.Welford
+	// TotalDelay includes station queueing.
+	TotalDelay metrics.Welford
+	// QueueDelay is the station queueing component alone.
+	QueueDelay metrics.Welford
+	// DelayP95 is the 95th-percentile acquisition delay in ticks.
+	DelayP95 float64
+	// Counters aggregates the per-scheme protocol counters.
+	Counters alloc.Counters
+	// CellGrants/CellDenies are per-cell tallies (fairness analyses).
+	CellGrants, CellDenies []uint64
+}
+
+// BlockingProbability is Denies / (Grants + Denies).
+func (st Stats) BlockingProbability() float64 {
+	total := st.Grants + st.Denies
+	if total == 0 {
+		return 0
+	}
+	return float64(st.Denies) / float64(total)
+}
+
+// MessagesPerRequest is total messages / completed requests.
+func (st Stats) MessagesPerRequest() float64 {
+	total := st.Grants + st.Denies
+	if total == 0 {
+		return 0
+	}
+	return float64(st.Messages.Total) / float64(total)
+}
+
+// simObs is the driver's bound instrument set. The zero value is fully
+// disabled: every instrument is nil (allocation-free no-op) and journal
+// is nil. Journal emissions must stay behind `if journal != nil` so the
+// disabled path never builds variadic field slices.
+type simObs struct {
+	messages    *obs.Counter
+	granted     *obs.Counter
+	denied      *obs.Counter
+	outstanding *obs.Gauge
+	acquire     *obs.Histogram
+	journal     *obs.Journal
+}
+
+func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
+	o.journal = j
+	if r == nil {
+		return
+	}
+	o.messages = r.Counter("adca_transport_messages_total",
+		"Protocol messages handed to the transport.")
+	o.granted = r.Counter("adca_requests_granted_total",
+		"Channel requests completed with a grant.")
+	o.denied = r.Counter("adca_requests_denied_total",
+		"Channel requests completed with a denial.")
+	o.outstanding = r.Gauge("adca_requests_outstanding",
+		"Channel requests currently in flight.")
+	t := float64(latency)
+	o.acquire = r.Histogram("adca_acquire_ticks",
+		"Acquisition (protocol) delay of granted requests, in ticks.",
+		[]float64{t / 2, t, 2 * t, 4 * t, 8 * t, 16 * t, 32 * t, 64 * t})
+}
+
+type pendingReq struct {
+	cell      hexgrid.CellID
+	submitted sim.Time
+	began     sim.Time
+	cb        func(Result)
+}
+
 // parShard is one shard's private driver state. Only the shard's worker
 // (or the coordinator between windows) touches it.
 type parShard struct {
 	pending map[alloc.RequestID]*pendingReq
+	// reqFree recycles pendingReq nodes: request bookkeeping is the
+	// driver's hottest allocation, and completed nodes are reusable the
+	// moment their completion callback returns.
 	reqFree []*pendingReq
-	moved   map[hexgrid.CellID]map[chanset.Channel][]chanset.Channel
-	dog     trace.Watchdog
-	ring    *trace.Ring
-	msgs    transport.Stats
+	// moved[cell][old] queues repacking moves (Env.Moved) so a caller
+	// releasing the channel it was granted reaches a channel its cell
+	// actually holds. A queue (not a single alias): the same channel id
+	// can be granted, moved, and re-granted repeatedly, leaving several
+	// outstanding forwards. Calls are fungible tokens — any consistent
+	// matching of releases to held channels preserves system state.
+	moved map[hexgrid.CellID]map[chanset.Channel][]chanset.Channel
+	dog   trace.Watchdog
+	ring  *trace.Ring
+	msgs  transport.Stats
 	// delayHist accumulates this shard's acquisition delays; Stats()
 	// merges the buckets (integer counts, order-insensitive).
 	delayHist *metrics.Histogram
@@ -139,7 +257,7 @@ type cellStat struct {
 	denies     uint32
 }
 
-// Parallel is one wired sharded scenario.
+// Parallel is one wired scenario.
 type Parallel struct {
 	grid    *hexgrid.Grid
 	assign  *chanset.Assignment
@@ -158,20 +276,25 @@ type Parallel struct {
 
 	// teardown is set for the span of ForceQuiesce (coordinator
 	// context, kernel parked — never read concurrently): protocol
-	// messages the forced releases would send are suppressed, exactly
-	// as on the serial driver.
+	// messages the forced releases would send are suppressed (not
+	// scheduled, not counted) — nothing can be delivered after the
+	// cutoff, and a warm giant grid would otherwise manufacture tens of
+	// millions of doomed events just to discard them.
 	teardown bool
 
 	obs simObs
 }
 
-// NewParallel wires a sharded simulation. The factory builds one
-// allocator per cell, exactly as driver.New does.
+// NewParallel wires a simulation. The factory builds one allocator per
+// cell.
 func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, opts ParallelOptions) (*Parallel, error) {
 	cells := grid.NumCells()
 	opts.applyDefaults(cells)
 	if opts.Latency < 1 {
 		return nil, fmt.Errorf("driver: parallel kernel needs latency >= 1, got %d", opts.Latency)
+	}
+	if opts.Journal != nil && opts.Shards != 1 {
+		return nil, fmt.Errorf("driver: a journal needs a single shard (its record order would depend on worker scheduling), got Shards = %d", opts.Shards)
 	}
 	part, err := grid.Partition(opts.Shards)
 	if err != nil {
@@ -198,7 +321,7 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 			sh.lastAt = make(map[parLink]sim.Time)
 		}
 	}
-	p.obs.bind(opts.Obs, nil, opts.Latency)
+	p.obs.bind(opts.Obs, opts.Journal, opts.Latency)
 	p.allocs = make([]alloc.Allocator, cells)
 	for i := range p.allocs {
 		cell := hexgrid.CellID(i)
@@ -219,7 +342,9 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 	p.checker = trace.NewInterferenceChecker(grid, func(id hexgrid.CellID) chanset.Set {
 		return p.allocs[id].InUse()
 	})
-	if opts.Check {
+	if opts.Check && opts.Shards > 1 {
+		// Per-grant checks (pcellEnv.Granted) would read remote cells'
+		// sets mid-window; check the consistent cut at each barrier.
 		p.kernel.SetBarrier(func() {
 			if err := p.checker.CheckAll(); err != nil {
 				panic(err)
@@ -285,8 +410,8 @@ func (p *Parallel) Relay(from, to hexgrid.CellID, fn func()) {
 }
 
 // ReserveShard pre-sizes shard s's event heap (Erlang estimate from the
-// workload, mirroring Engine.Reserve). Absurd hints are rejected with a
-// descriptive error (see sim.Shards.Reserve).
+// workload). Absurd hints are rejected with a descriptive error (see
+// sim.Shards.Reserve).
 func (p *Parallel) ReserveShard(s, n int) error { return p.kernel.Reserve(s, n) }
 
 // ReserveOutbox pre-sizes the src->dst mailbox, materializing the
@@ -306,14 +431,20 @@ func (p *Parallel) Request(cell hexgrid.CellID, cb func(Result)) alloc.RequestID
 	sh.pending[id] = sh.newPending(cell, now, cb)
 	sh.dog.Submitted(now)
 	p.obs.outstanding.Add(1)
+	if p.obs.journal != nil {
+		p.obs.journal.Emit(int64(now), "request", int(cell), obs.FI("req", int64(id)))
+	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRequest, Cell: cell, Ch: chanset.NoChannel, Info: int64(id)})
 	p.allocs[cell].Request(id)
 	return id
 }
 
-// Release returns channel ch at cell to the pool, with the same
-// moved-channel forwarding as the serial driver. Same shard-context
-// rule as Request.
+// Release returns channel ch at cell to the pool. If repacking moved
+// the call granted ch onto another channel, the release is forwarded:
+// when ch is not currently held, the oldest outstanding move from ch is
+// consumed instead. (A held ch is always releasable directly — calls
+// are fungible; see parShard.moved.) Same shard-context rule as
+// Request.
 func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 	si := p.part.ShardOf(cell)
 	sh := &p.shards[si]
@@ -328,8 +459,14 @@ func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 			ch = target
 		}
 	}
-	sh.traceEvent(trace.Event{At: p.kernel.Now(si), Kind: trace.EvRelease, Cell: cell, Ch: ch})
+	now := p.kernel.Now(si)
+	if p.obs.journal != nil {
+		p.obs.journal.Emit(int64(now), "release", int(cell), obs.FI("ch", int64(ch)))
+	}
+	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRelease, Cell: cell, Ch: ch})
 	if err := p.allocs[cell].Release(ch); err != nil {
+		// In the deterministic sim an unheld release is a driver bug,
+		// not an environmental fault — fail loudly.
 		panic(err)
 	}
 	sh.releases++
@@ -367,19 +504,18 @@ func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
 	return p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
 }
 
-// ForceQuiesce terminates a truncated run at the current clock with the
-// same canonical sweep as the serial driver's ForceQuiesce: discard
-// queued events, force-release every held channel in ascending
-// (cell, in-use-set) order through the normal Release path (protocol
-// sends suppressed — teardown — since nothing can be delivered before
-// the cutoff), discard what the releases did queue, then cancel
-// in-flight requests in ascending id order per shard (no callback, no
-// grant/deny count).
+// ForceQuiesce terminates a truncated run at the current clock with a
+// canonical sweep: discard queued events, force-release every held
+// channel in ascending (cell, in-use-set) order through the normal
+// Release path (protocol sends suppressed — teardown — since nothing
+// can be delivered before the cutoff), discard what the releases did
+// queue, then cancel in-flight requests in ascending id order per shard
+// (no callback, no grant/deny count).
 // Coordinator-context only: call it after DrainUntil returns, never
 // mid-window. All shard clocks are equal then, so the forced releases
-// trace at one uniform cutoff time and the merged trace reproduces the
-// serial driver's byte-for-byte. It returns how many channels were
-// force-released and how many requests were cancelled.
+// trace at one uniform cutoff time and the merged trace is the same at
+// every shard count. It returns how many channels were force-released
+// and how many requests were cancelled.
 func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 	p.teardown = true
 	defer func() { p.teardown = false }()
@@ -680,7 +816,17 @@ func (e *pcellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 	p.obs.granted.Inc()
 	p.obs.outstanding.Add(-1)
 	p.obs.acquire.Observe(float64(now - q.began))
+	if p.obs.journal != nil {
+		p.obs.journal.Emit(int64(now), "result", int(e.cell),
+			obs.FI("req", int64(id)), obs.FI("granted", 1),
+			obs.FI("ch", int64(ch)), obs.FI("ticks", int64(now-q.began)))
+	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvGrant, Cell: e.cell, Ch: ch, Info: int64(id)})
+	if p.opts.Check && p.opts.Shards == 1 {
+		if err := p.checker.CheckCell(e.cell); err != nil {
+			panic(err)
+		}
+	}
 	if q.cb != nil {
 		q.cb(Result{
 			ID: id, Cell: e.cell, Granted: true, Ch: ch,
@@ -704,6 +850,11 @@ func (e *pcellEnv) Denied(id alloc.RequestID) {
 	p.cells[e.cell].denies++
 	p.obs.denied.Inc()
 	p.obs.outstanding.Add(-1)
+	if p.obs.journal != nil {
+		p.obs.journal.Emit(int64(now), "result", int(e.cell),
+			obs.FI("req", int64(id)), obs.FI("granted", 0),
+			obs.FI("ticks", int64(now-q.began)))
+	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvDeny, Cell: e.cell, Ch: chanset.NoChannel, Info: int64(id)})
 	if q.cb != nil {
 		q.cb(Result{

@@ -25,24 +25,26 @@ func TestWireModeAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := driver.New(g, assign, f, driver.Options{
-				Latency: 10, Seed: 77, Check: true, Wire: true,
+			s, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{
+				Latency: 10, Seed: 77, Check: true, Wire: true, Shards: 1,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			cell := g.InteriorCell()
 			targets := append([]hexgrid.CellID{cell}, g.Interference(cell)...)
 			rng := sim.NewRand(5)
-			e := s.Engine()
 			done := 0
 			const total = 60
 			for i := 0; i < total; i++ {
 				c := targets[rng.Intn(len(targets))]
 				at := sim.Time(rng.Intn(3000))
 				hold := sim.Time(500 + rng.Intn(3000))
-				e.At(at, func() {
+				s.At(c, at, func() {
 					s.Request(c, func(r driver.Result) {
 						done++
 						if r.Granted {
-							e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+							s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 						}
 					})
 				})

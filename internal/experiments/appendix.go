@@ -79,10 +79,14 @@ func Breakdown(env Env, schemes []string) (BreakdownResult, error) {
 			outs[i].err = err
 			return
 		}
-		s := driver.New(g, assign, factory, driver.Options{
-			Latency: env.Latency, Seed: env.Seeds[0], Wire: true,
+		s, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{
+			Latency: env.Latency, Seed: env.Seeds[0], Wire: true, Shards: 1,
 		})
-		if _, err := traffic.Run(s, traffic.Spec{
+		if err != nil {
+			outs[i].err = err
+			return
+		}
+		if _, err := traffic.RunParallel(s, traffic.Spec{
 			Profile:  profile,
 			MeanHold: env.MeanHold,
 			Duration: env.Duration,

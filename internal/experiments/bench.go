@@ -128,7 +128,10 @@ func RunKernelBench(quick bool) (KernelBench, error) {
 	if err != nil {
 		return KernelBench{}, err
 	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: env.Latency, Seed: env.Seeds[0]})
+	s, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{Latency: env.Latency, Seed: env.Seeds[0], Shards: 1})
+	if err != nil {
+		return KernelBench{}, err
+	}
 	prim := env.PrimariesPerCell()
 	spec := traffic.Spec{
 		Profile:  traffic.Uniform{PerCell: env.RatePerCell(0.7 * prim)},
@@ -141,13 +144,13 @@ func RunKernelBench(quick bool) (KernelBench, error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	if _, err := traffic.Run(s, spec); err != nil {
+	if _, err := traffic.RunParallel(s, spec); err != nil {
 		return KernelBench{}, err
 	}
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&m1)
 	k := KernelBench{
-		Events:      s.Engine().Executed(),
+		Events:      s.Kernel().Executed(),
 		WallSeconds: wall.Seconds(),
 	}
 	if k.Events > 0 {

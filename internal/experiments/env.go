@@ -132,8 +132,13 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 	if err != nil {
 		return Measured{}, traffic.Stats{}, err
 	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: env.Latency, Seed: seed})
-	// Sample mode occupancy every 20T during the measured window.
+	s, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{Latency: env.Latency, Seed: seed, Shards: 1})
+	if err != nil {
+		return Measured{}, traffic.Stats{}, err
+	}
+	// Sample mode occupancy every 20T during the measured window. The
+	// sampler only reads state, so attributing its events to cell 0
+	// leaves the trajectory untouched.
 	var borrowSum, searchSum float64
 	samples := 0
 	var sample func()
@@ -142,12 +147,12 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 		borrowSum += occ[1] + occ[2] + occ[3]
 		searchSum += occ[3]
 		samples++
-		if s.Engine().Now() < env.Duration {
-			s.Engine().After(20*env.Latency, sample)
+		if s.Now(0) < env.Duration {
+			s.After(0, 20*env.Latency, sample)
 		}
 	}
-	s.Engine().At(env.Warmup, sample)
-	ts, err := traffic.Run(s, traffic.Spec{
+	s.At(0, env.Warmup, sample)
+	ts, err := traffic.RunParallel(s, traffic.Spec{
 		Profile:     profile,
 		MeanHold:    env.MeanHold,
 		HandoffRate: handoffRate,

@@ -194,7 +194,10 @@ func runParallelGrid(gs parGridSpec) (ParallelGridBench, error) {
 		shards   = 16
 		latency  = sim.Time(10)
 		meanHold = 3000.0
-		erlang   = 9.0 // 90% of the 10-primary set: heavy borrowing
+		// These lattices' sides are not multiples of 7, so cells get
+		// 4-6 primaries: 9 Erlang is 150-225% of a cell's primary set,
+		// which forces heavy borrowing.
+		erlang = 9.0
 	)
 	gb := ParallelGridBench{Grid: gs.name, Cells: grid.NumCells(), Shards: shards}
 	for _, workers := range parallelWorkerCounts() {

@@ -1,7 +1,7 @@
 package experiments
 
 // Policy bench: the trajectory-hash gate for the pluggable policy seam.
-// Every registered predictor × lender-strategy pair runs one serial
+// Every registered predictor × lender-strategy pair runs one one-shard
 // borrow-heavy simulation and records its trajectory hash; the default
 // (linear, best) pair comes first and its hash is the determinism
 // contract cmd/benchdelta hard-fails on — the seam extraction must never
@@ -83,9 +83,12 @@ func RunPolicyBench(quick bool) (PolicyBench, error) {
 		if err != nil {
 			return PolicyRun{}, err
 		}
-		s := driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 101})
+		s, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{Latency: 10, Seed: 101, Shards: 1})
+		if err != nil {
+			return PolicyRun{}, err
+		}
 		t0 := time.Now()
-		ts, err := traffic.Run(s, traffic.Spec{
+		ts, err := traffic.RunParallel(s, traffic.Spec{
 			Profile:  traffic.Uniform{PerCell: b.Erlang / 3000},
 			MeanHold: 3000,
 			Duration: duration,

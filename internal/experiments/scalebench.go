@@ -205,9 +205,10 @@ func RunScaleBench(quick bool) (ScaleBench, error) {
 	return out, nil
 }
 
-// Steady-workload constants: a base load at 90% of the 10-primary
-// allocation plus five stationary hot zones pushed well past it, so
-// borrow/search rounds, defer queues and cross-shard interference
+// Steady-workload constants: a 9-Erlang base load — 150-225% of the
+// 4-6 primaries a cell gets on these lattices, whose sides are not
+// multiples of 7 — plus five stationary hot zones pushed well past it,
+// so borrow/search rounds, defer queues and cross-shard interference
 // traffic run continuously.
 const (
 	steadyErlang    = 9.0
@@ -290,7 +291,10 @@ func runScaleGrid(gs scaleGridSpec) (ScaleGridBench, error) {
 	const (
 		latency  = sim.Time(10)
 		meanHold = 3000.0
-		erlang   = 9.0 // 90% of the 10-primary set: heavy borrowing
+		// These lattices' sides are not multiples of 7, so cells get
+		// 4-6 primaries: 9 Erlang is 150-225% of a cell's primary set,
+		// which forces heavy borrowing.
+		erlang = 9.0
 	)
 	spec := traffic.Spec{
 		Profile:  traffic.Uniform{PerCell: erlang / meanHold},

@@ -27,8 +27,9 @@ import (
 //	then 8 bytes per word
 //
 // The codec exists so the live transport (and any future socket
-// transport) can ship messages as bytes; the DES transport passes structs
-// directly and clones sets instead.
+// transport) can ship messages as bytes; the simulation driver passes
+// structs directly (its Wire option round-trips them through the codec
+// to validate it against live protocol traffic).
 
 const headerLen = 40
 

@@ -83,7 +83,7 @@ type Hotspot struct {
 // knobs of transport.FaultConfig plus the per-request deadline. All
 // probabilities are per message in [0, 1]; durations are microseconds
 // (wall time — the fault model degrades the live transport, not the
-// DES, whose delivery the engine owns).
+// DES, whose delivery the event kernel owns).
 type Fault struct {
 	Seed             uint64  `json:"seed"`
 	Drop             float64 `json:"drop"`

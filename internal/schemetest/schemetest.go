@@ -33,8 +33,10 @@ func DefaultGrid() hexgrid.Config {
 	return hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true}
 }
 
-// Build wires a driver.Sim for the named scheme.
-func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
+// Build wires the named scheme on one shard, with Theorem 1 checked on
+// every grant. On one shard requests and releases may be issued
+// directly, and any cell's events may be scheduled with At/After.
+func Build(t *testing.T, scheme string, sc Scenario) *driver.Parallel {
 	t.Helper()
 	if sc.Latency == 0 {
 		sc.Latency = 10
@@ -55,9 +57,13 @@ func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return driver.New(g, assign, f, driver.Options{
-		Latency: sc.Latency, Seed: sc.Seed, Check: true,
+	s, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{
+		Latency: sc.Latency, Seed: sc.Seed, Check: true, Shards: 1,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // RandomWorkload drives a seeded random request/release mix through the
@@ -68,7 +74,6 @@ func RandomWorkload(t *testing.T, scheme string, sc Scenario) driver.Stats {
 	s := Build(t, scheme, sc)
 	rng := sim.NewRand(sc.Seed + 0x9e37)
 	n := s.Grid().NumCells()
-	e := s.Engine()
 	completed, submitted := 0, 0
 	at := sim.Time(0)
 	for i := 0; i < sc.Events; i++ {
@@ -76,11 +81,11 @@ func RandomWorkload(t *testing.T, scheme string, sc Scenario) driver.Stats {
 		cell := hexgrid.CellID(rng.Intn(n))
 		hold := rng.ExpTicks(sc.MeanHold)
 		submitted++
-		e.At(at, func() {
+		s.At(cell, at, func() {
 			s.Request(cell, func(r driver.Result) {
 				completed++
 				if r.Granted {
-					e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+					s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 		})
@@ -124,18 +129,17 @@ func Conformance(t *testing.T, scheme string) {
 		cell := s.Grid().InteriorCell()
 		targets := append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...)
 		rng := sim.NewRand(13)
-		e := s.Engine()
 		total, done := 0, 0
 		for i := 0; i < 150; i++ {
 			c := targets[rng.Intn(len(targets))]
 			at := sim.Time(rng.Intn(5000))
 			hold := rng.ExpTicks(3000)
 			total++
-			e.At(at, func() {
+			s.At(c, at, func() {
 				s.Request(c, func(r driver.Result) {
 					done++
 					if r.Granted {
-						e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+						s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 					}
 				})
 			})
@@ -155,26 +159,27 @@ func Conformance(t *testing.T, scheme string) {
 		cell := s.Grid().InteriorCell()
 		targets := append([]hexgrid.CellID{cell}, s.Grid().Interference(cell)...)
 		rng := sim.NewRand(14)
-		e := s.Engine()
 		for i := 0; i < 50; i++ {
 			c := targets[rng.Intn(len(targets))]
 			at := sim.Time(rng.Intn(1500))
 			hold := sim.Time(500 + rng.Intn(2500))
-			e.At(at, func() {
+			s.At(c, at, func() {
 				s.Request(c, func(r driver.Result) {
 					if r.Granted {
-						e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+						s.After(r.Cell, hold, func() { s.Release(r.Cell, r.Ch) })
 					}
 				})
 			})
 		}
-		steps := 0
-		for e.Step() {
-			if steps++; steps > 3_000_000 {
+		// Step one tick at a time and check the whole grid after each;
+		// every grant is additionally checked inside its own event.
+		for now := sim.Time(0); s.Kernel().Pending() > 0; now++ {
+			if now > 3_000_000 {
 				t.Fatalf("%s: no quiescence", scheme)
 			}
+			s.Run(now)
 			if err := s.CheckInvariant(); err != nil {
-				t.Fatalf("%s after %d events: %v", scheme, steps, err)
+				t.Fatalf("%s at tick %d: %v", scheme, now, err)
 			}
 		}
 		if s.Outstanding() != 0 {

@@ -2,31 +2,31 @@ package sim
 
 import "testing"
 
-func BenchmarkEngineScheduleRun(b *testing.B) {
+func BenchmarkShardScheduleRun(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
+	k := oneShard()
 	for i := 0; i < b.N; i++ {
-		e.After(1, func() {})
+		k.After(0, 1, 0, func() {})
 		if i%1024 == 1023 {
-			e.Run(e.Now() + 2)
+			k.Run(1, k.Now(0)+2)
 		}
 	}
-	e.Run(e.Now() + 2)
+	k.Run(1, k.Now(0)+2)
 }
 
-func BenchmarkEngineCascade(b *testing.B) {
+func BenchmarkShardCascade(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine()
+	k := oneShard()
 	n := 0
 	var loop func()
 	loop = func() {
 		if n < b.N {
 			n++
-			e.After(1, loop)
+			k.After(0, 1, 0, loop)
 		}
 	}
-	e.At(0, loop)
-	e.Run(Time(b.N) + 10)
+	k.At(0, 0, 0, loop)
+	k.Run(1, Time(b.N)+10)
 }
 
 func BenchmarkRandUint64(b *testing.B) {

@@ -1,3 +1,11 @@
+// Package sim is a deterministic discrete-event simulation kernel —
+// virtual time, a sharded event queue ordered by a canonical key, and
+// seeded random-number streams.
+//
+// All protocol benchmarks run on this kernel so results are exactly
+// reproducible from a seed; the live goroutine runtime in
+// internal/transport exists to exercise the same station code under real
+// concurrency.
 package sim
 
 // Conservative parallel DES kernel. The grid is sharded into contiguous
@@ -30,9 +38,13 @@ import (
 	"unsafe"
 )
 
-// pevent is one scheduled callback in the sharded kernel. Unlike the
-// serial Engine's global insertion seq, the (org, cnt) pair is assigned
-// by the origin cell's own shard, keeping key assignment race-free.
+// Time is virtual time in abstract ticks. The paper's unit is T, the
+// one-way message latency; drivers conventionally use 1 tick = 1
+// microsecond-ish granularity and express T in ticks.
+type Time int64
+
+// pevent is one scheduled callback. The (org, cnt) pair is assigned by
+// the origin cell's own shard, keeping key assignment race-free.
 type pevent struct {
 	at  Time
 	org int32  // origin cell id: the cell whose handler scheduled this
@@ -235,7 +247,10 @@ func (k *Shards) Pending() int {
 func (k *Shards) Routes(s int) int { return len(k.shards[s].routes) }
 
 // Reserve grows shard s's heap capacity to hold at least n events
-// without reallocating, mirroring Engine.Reserve for the serial kernel.
+// without reallocating. Drivers that can estimate the number of
+// concurrently scheduled events (e.g. expected in-flight calls plus one
+// arrival per cell) call it once up front to avoid growth copies
+// mid-run.
 // Absurd hints — negative, or blowing the kernel's reserve budget —
 // return a descriptive error and leave the heap untouched.
 func (k *Shards) Reserve(s, n int) error {
@@ -282,7 +297,8 @@ func (k *Shards) ReserveOutbox(src, dst, n int) error {
 func (k *Shards) SetBarrier(fn func()) { k.barrier = fn }
 
 // At schedules fn at absolute time at on shard s with the given origin
-// cell. Scheduling in the past panics, as in the serial Engine.
+// cell. Scheduling in the past panics: that is always a protocol-logic
+// bug worth failing loudly on.
 func (k *Shards) At(s int, at Time, origin int32, fn func()) {
 	sh := &k.shards[s]
 	if at < sh.now {
@@ -577,7 +593,7 @@ func (k *Shards) run(workers int, until Time, maxEvents uint64) uint64 {
 			break
 		}
 		// The window is [wlow, wlow+T); horizon is exclusive. Events at
-		// exactly `until` must still run (Engine.Run semantics), hence
+		// exactly `until` must still run, hence
 		// the +1 cap, overflow-guarded for until = MaxInt64.
 		horizon := wlow + k.lookahead
 		if horizon < wlow {

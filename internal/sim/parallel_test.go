@@ -61,7 +61,8 @@ func TestShardsLookaheadViolationPanics(t *testing.T) {
 	k.Run(1, 100)
 }
 
-// TestShardsPastSchedulingPanics mirrors Engine.At's contract.
+// TestShardsPastSchedulingPanics: scheduling in the past from inside a
+// running event panics.
 func TestShardsPastSchedulingPanics(t *testing.T) {
 	k := NewShards(1, 10, 1)
 	k.At(0, 20, 0, func() {
@@ -75,7 +76,7 @@ func TestShardsPastSchedulingPanics(t *testing.T) {
 	k.Run(1, 100)
 }
 
-// TestShardsRunUntil checks Engine.Run-compatible horizon semantics:
+// TestShardsRunUntil checks the multi-shard horizon semantics:
 // events at exactly `until` run, later events stay queued, clocks land
 // on until.
 func TestShardsRunUntil(t *testing.T) {

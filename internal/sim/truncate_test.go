@@ -2,53 +2,9 @@ package sim
 
 import "testing"
 
-// TestEngineDrainUntilDiscardPending: DrainUntil executes exactly the
-// events at or before the cutoff, parks the clock there, and leaves the
-// rest queued for DiscardPending.
-func TestEngineDrainUntilDiscardPending(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for _, at := range []Time{1, 5, 10, 15, 40} {
-		at := at
-		e.At(at, func() { got = append(got, at) })
-	}
-	if !e.DrainUntil(10, 1_000) {
-		t.Fatal("DrainUntil hit the backstop")
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 5 || got[2] != 10 {
-		t.Fatalf("executed %v, want [1 5 10]", got)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("Now = %d, want 10 (clock parks at cutoff)", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2 post-cutoff events", e.Pending())
-	}
-	if n := e.DiscardPending(); n != 2 {
-		t.Fatalf("DiscardPending = %d, want 2", n)
-	}
-	if e.Pending() != 0 || e.Now() != 10 {
-		t.Fatalf("after discard: Pending=%d Now=%d, want 0 and 10", e.Pending(), e.Now())
-	}
-}
-
-// TestEngineDrainUntilBackstop: the maxEvents backstop reports false
-// with due events still queued.
-func TestEngineDrainUntilBackstop(t *testing.T) {
-	e := NewEngine()
-	for i := Time(1); i <= 5; i++ {
-		e.At(i, func() {})
-	}
-	if e.DrainUntil(5, 2) {
-		t.Fatal("DrainUntil should report false on the backstop")
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", e.Pending())
-	}
-}
-
-// TestShardsDrainUntilDiscardPending: the sharded counterpart, with a
-// post-cutoff cross-shard event sitting in a mailbox — DiscardPending
+// TestShardsDrainUntilDiscardPending: DrainUntil executes exactly the
+// events at or before the cutoff and parks every clock there; with a
+// post-cutoff cross-shard event sitting in a mailbox, DiscardPending
 // must drop queued heap events and boxed route events alike.
 func TestShardsDrainUntilDiscardPending(t *testing.T) {
 	k := NewShards(2, 10, 2)
@@ -77,6 +33,21 @@ func TestShardsDrainUntilDiscardPending(t *testing.T) {
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d after discard, want 0", k.Pending())
+	}
+}
+
+// TestShardsDrainUntilBackstop: the maxEvents backstop (checked per
+// window) reports false with due events still queued.
+func TestShardsDrainUntilBackstop(t *testing.T) {
+	k := oneShard()
+	for i := Time(1); i <= 5; i++ {
+		k.At(0, i, 0, func() {})
+	}
+	if k.DrainUntil(1, 5, 2) {
+		t.Fatal("DrainUntil should report false on the backstop")
+	}
+	if k.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", k.Pending())
 	}
 }
 

@@ -10,14 +10,13 @@ import (
 	"repro/internal/sim"
 )
 
-// RunParallel drives the workload over the sharded driver to
-// completion, mirroring Run. Every random stream the workload consumes
-// is per cell with the same labels Run uses — arrivals/holding
-// (Substream(seed, arrivalLabel+cell)) and mobility
+// RunParallel drives the workload over the driver to completion
+// (arrivals stop at Duration, held calls drain afterwards) and returns
+// the stats. Every random stream the workload consumes is per cell —
+// arrivals/holding (Substream(seed, arrivalLabel+cell)) and mobility
 // (Substream(seed, mobilityLabel+cell)) — so each stream is consumed
 // entirely inside its cell's shard and the generated schedule is
-// identical at any shard or worker count, and identical to the serial
-// engine's.
+// identical at any shard or worker count.
 //
 // Mobility runs sharded: a call leg draws its dwell time and neighbor
 // pick from the *current* cell's mobility substream when the leg is
@@ -40,7 +39,7 @@ func RunParallel(p *driver.Parallel, spec Spec) (Stats, error) {
 // no simulation time has passed. Finish runs it to completion.
 type PrimedParallel struct {
 	p *driver.Parallel
-	g *pgenerator
+	g *generator
 }
 
 // PrimeParallel validates spec and seeds the workload over p without
@@ -57,10 +56,10 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 		PerCellBlocked: make([]uint64, n),
 	}
 	part := p.Partition()
-	// Per-shard capacity hints from the same Erlang estimate Run feeds
-	// Engine.Reserve: one candidate arrival per cell plus ~one release
-	// per held call, held calls ≈ offered Erlangs, 1.25x headroom (2x
-	// pinned double the steady state for nothing at giant-grid scale).
+	// Per-shard heap capacity hints from the Erlang estimate: one
+	// candidate arrival per cell plus ~one release per held call, held
+	// calls ≈ offered Erlangs, 1.25x headroom (2x pinned double the
+	// steady state for nothing at giant-grid scale).
 	// Mailboxes are reserved only toward the shards the partition's halo
 	// can actually reach — O(neighbor shards) per shard, where the old
 	// all-destinations loop was O(shards²) slices in total and dominated
@@ -84,7 +83,7 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 			}
 		}
 	}
-	g := &pgenerator{
+	g := &generator{
 		p:       p,
 		spec:    spec,
 		stats:   &st,
@@ -111,9 +110,9 @@ func (r *PrimedParallel) Finish() (Stats, error) {
 	if g.spec.DrainHorizon > 0 {
 		// Truncated drain: run to the cutoff (window boundaries and
 		// barrier samples before it are exactly the full drain's), then
-		// force the rest quiescent with the same canonical sweep the
-		// serial driver performs, so the truncated trajectory stays
-		// bit-identical across worker and shard counts and vs Run.
+		// force the rest quiescent with the driver's canonical sweep
+		// (ascending cell, then ascending request id), so the truncated
+		// trajectory stays bit-identical across worker and shard counts.
 		cutoff := g.spec.Duration + g.spec.DrainHorizon
 		if !p.DrainUntil(cutoff, 2_000_000_000) {
 			return *st, fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
@@ -183,33 +182,38 @@ type ptally struct {
 	_                   [32]byte
 }
 
-type pgenerator struct {
+type generator struct {
 	p       *driver.Parallel
 	spec    Spec
 	stats   *Stats
 	tallies []ptally
-	// mob[cell] mirrors generator.mob: the cell's mobility substream,
-	// consumed only by the cell's owning shard.
+	// mob[cell] is the cell's mobility substream (nil slice without
+	// mobility): dwell and neighbor draws for a leg are taken from the
+	// stream of the cell the leg runs in, consumed only by that cell's
+	// owning shard.
 	mob []*sim.Rand
 }
 
 // tally returns the counters of cell's shard. Only the owning shard's
 // worker increments them, so no synchronization is needed.
-func (g *pgenerator) tally(cell hexgrid.CellID) *ptally {
+func (g *generator) tally(cell hexgrid.CellID) *ptally {
 	return &g.tallies[g.p.Partition().ShardOf(cell)]
 }
 
-// warmStart mirrors generator.warmStart on the sharded driver: cell's
-// stationary in-progress calls are submitted before tick 0 from the
-// cell's arrival substream, ahead of any arrival-gap draw. Pre-run
-// requests are legal on driver.Parallel and run the allocator of the
-// cell's own shard synchronously; seeds a saturated neighborhood cannot
-// grant immediately resolve through the borrow protocol during the run
-// (the protocol's messages are latency-delayed cross events, always
-// within the kernel's lookahead bound). Grant order is fixed by the
-// kernel's canonical (time, origin, counter) order, so seeding is
-// bit-identical across shard and worker counts.
-func (g *pgenerator) warmStart(cell hexgrid.CellID, rng *sim.Rand) {
+// warmStart submits cell's stationary in-progress calls before tick 0:
+// K ~ Poisson(rate(cell, 0) × MeanHold), each with a residual
+// Exp(MeanHold) hold, drawn from the cell's arrival substream ahead of
+// any arrival-gap draw. Pre-run requests are legal on driver.Parallel
+// and run the allocator of the cell's own shard synchronously; seeds a
+// saturated neighborhood cannot grant immediately resolve through the
+// borrow protocol during the run (the protocol's messages are
+// latency-delayed cross events, always within the kernel's lookahead
+// bound); denied seeds simply never existed. Grant order is fixed by
+// the kernel's canonical (time, origin, counter) order, so seeding is
+// bit-identical across shard and worker counts. Neither outcome touches
+// the Offered/Blocked tallies — seeded calls model traffic admitted
+// before the run began.
+func (g *generator) warmStart(cell hexgrid.CellID, rng *sim.Rand) {
 	k := rng.Poisson(g.spec.Profile.Rate(cell, 0) * g.spec.MeanHold)
 	for i := 0; i < k; i++ {
 		remaining := rng.ExpTicks(g.spec.MeanHold)
@@ -221,9 +225,9 @@ func (g *pgenerator) warmStart(cell hexgrid.CellID, rng *sim.Rand) {
 	}
 }
 
-// scheduleArrival plants the next candidate arrival for cell, exactly
-// as generator.scheduleArrival does on the serial engine.
-func (g *pgenerator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
+// scheduleArrival plants the next candidate arrival for cell using
+// thinning (non-homogeneous Poisson sampling).
+func (g *generator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
 	maxRate := g.spec.Profile.MaxRate(cell)
 	if maxRate <= 0 {
 		return
@@ -234,6 +238,7 @@ func (g *pgenerator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
 		return
 	}
 	g.p.At(cell, at, func() {
+		// Thinning: accept the candidate with probability rate/maxRate.
 		if rng.Float64()*maxRate <= g.spec.Profile.Rate(cell, g.p.Now(cell)) {
 			g.newCall(cell, rng)
 		}
@@ -244,7 +249,7 @@ func (g *pgenerator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
 // newCall submits a channel request and, when granted, starts the call
 // lifecycle. PerCell slots are only ever written by the owning shard,
 // so they need no tally indirection.
-func (g *pgenerator) newCall(cell hexgrid.CellID, rng *sim.Rand) {
+func (g *generator) newCall(cell hexgrid.CellID, rng *sim.Rand) {
 	now := g.p.Now(cell)
 	measured := now >= g.spec.Warmup
 	if measured {
@@ -265,11 +270,12 @@ func (g *pgenerator) newCall(cell hexgrid.CellID, rng *sim.Rand) {
 	})
 }
 
-// continueCall mirrors generator.continueCall on the sharded kernel:
-// one leg of a call in one cell, with dwell and neighbor draws from the
-// current cell's mobility substream. The grant callback runs in the
-// cell's shard, so the draws are shard-local by construction.
-func (g *pgenerator) continueCall(cell hexgrid.CellID, ch chanset.Channel, remaining sim.Time) {
+// continueCall runs one leg of a call in one cell: either the call ends
+// here (release) or it departs toward a neighbor first. Dwell time and
+// the neighbor pick are drawn from the current cell's mobility
+// substream at leg start; the grant callback runs in the cell's shard,
+// so the draws are shard-local by construction.
+func (g *generator) continueCall(cell hexgrid.CellID, ch chanset.Channel, remaining sim.Time) {
 	if g.spec.HandoffRate > 0 {
 		mob := g.mob[cell]
 		handoffIn := mob.ExpTicks(1 / g.spec.HandoffRate)
@@ -285,13 +291,15 @@ func (g *pgenerator) continueCall(cell hexgrid.CellID, ch chanset.Channel, remai
 	g.p.After(cell, remaining, func() { g.p.Release(cell, ch) })
 }
 
-// depart mirrors generator.depart: the crossing is counted in the old
-// cell's shard at crossing time, the handoff request is relayed to the
-// target cell one latency later (a legal cross-shard event by the
-// lookahead bound), and the old channel is released back home one
-// latency after the target's decision. Drops are counted in the target
-// cell's shard at decision time.
-func (g *pgenerator) depart(cell hexgrid.CellID, ch chanset.Channel, next hexgrid.CellID, left sim.Time) {
+// depart executes a cell-boundary crossing, make-before-break with
+// explicit signalling delay: the crossing is counted in the old cell's
+// shard at crossing time, the handoff request is relayed to the target
+// cell one latency later (a legal cross-shard event by the lookahead
+// bound), and the old channel is released back home one latency after
+// the target's decision. Drops are counted in the target cell's shard
+// at decision time. Handoffs are counted by event time (crossing resp.
+// decision vs Warmup), matching how Offered and Blocked treat warmup.
+func (g *generator) depart(cell hexgrid.CellID, ch chanset.Channel, next hexgrid.CellID, left sim.Time) {
 	if g.spec.countsHandoff(g.p.Now(cell)) {
 		g.tally(cell).hoAttempts++
 	}

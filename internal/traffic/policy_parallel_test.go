@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -18,8 +17,8 @@ import (
 
 // TestPolicyPairsParallelDeterminism extends the sharded kernel's
 // determinism contract to the pluggable policy seam: every registered
-// predictor × lender-strategy pair must produce the serial trajectory on
-// the sharded driver at every worker count. A policy that read
+// predictor × lender-strategy pair must produce the serial (one shard,
+// one worker) trajectory on 7 shards at every worker count. A policy that read
 // schedule-dependent state (wall clock, shared RNG, map order) would
 // diverge here.
 func TestPolicyPairsParallelDeterminism(t *testing.T) {
@@ -35,9 +34,8 @@ func TestPolicyPairsParallelDeterminism(t *testing.T) {
 	widths := []int{1, 2, 4, runtime.NumCPU()}
 
 	type outcome struct {
-		grants, denies, messages uint64
-		counters                 alloc.Counters
-		traffic                  traffic.Stats
+		stats   driver.Stats
+		traffic traffic.Stats
 	}
 	for _, pred := range policy.Predictors() {
 		for _, lend := range policy.Strategies() {
@@ -57,38 +55,28 @@ func TestPolicyPairsParallelDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 5})
-				sts, err := traffic.Run(s, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sst := s.Stats()
-				serial := outcome{
-					grants: sst.Grants, denies: sst.Denies, messages: sst.Messages.Total,
-					counters: sst.Counters, traffic: sts,
-				}
-				if serial.grants == 0 {
-					t.Fatal("workload too tame: no grants")
-				}
-				for _, workers := range widths {
+				run := func(shards, workers int) outcome {
 					p, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{
-						Latency: 10, Seed: 5, Shards: 7, Workers: workers,
+						Latency: 10, Seed: 5, Shards: shards, Workers: workers,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					pts, err := traffic.RunParallel(p, spec)
+					ts, err := traffic.RunParallel(p, spec)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := p.CheckInvariant(); err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 					}
-					pst := p.Stats()
-					par := outcome{
-						grants: pst.Grants, denies: pst.Denies, messages: pst.Messages.Total,
-						counters: pst.Counters, traffic: pts,
-					}
+					return outcome{stats: p.Stats(), traffic: ts}
+				}
+				serial := run(1, 1)
+				if serial.stats.Grants == 0 {
+					t.Fatal("workload too tame: no grants")
+				}
+				for _, workers := range widths {
+					par := run(7, workers)
 					if !reflect.DeepEqual(par, serial) {
 						t.Errorf("workers=%d diverged from serial:\n par    %s\n serial %s",
 							workers, fmt.Sprintf("%+v", par), fmt.Sprintf("%+v", serial))

@@ -12,7 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-func buildSim(t *testing.T, scheme string, channels int, seed uint64) *driver.Sim {
+// buildSim wires scheme on the default 7x7 lattice on one shard, with
+// Theorem 1 checked on every grant.
+func buildSim(t *testing.T, scheme string, channels int, seed uint64) *driver.Parallel {
 	t.Helper()
 	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	if err != nil {
@@ -26,7 +28,11 @@ func buildSim(t *testing.T, scheme string, channels int, seed uint64) *driver.Si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return driver.New(g, assign, f, driver.Options{Latency: 10, Seed: seed, Check: true})
+	p, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{Latency: 10, Seed: seed, Check: true, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestUniformProfile(t *testing.T) {
@@ -213,14 +219,14 @@ func TestBuildProfile(t *testing.T) {
 
 func TestRunRejectsBadSpec(t *testing.T) {
 	s := buildSim(t, "fixed", 35, 1)
-	if _, err := Run(s, Spec{}); err == nil {
+	if _, err := RunParallel(s, Spec{}); err == nil {
 		t.Fatal("empty spec must be rejected")
 	}
 }
 
 func TestRunRejectsNegativeHandoffRate(t *testing.T) {
 	s := buildSim(t, "fixed", 35, 1)
-	_, err := Run(s, Spec{
+	_, err := RunParallel(s, Spec{
 		Profile:     Uniform{PerCell: 0.001},
 		MeanHold:    1000,
 		Duration:    1000,
@@ -235,7 +241,7 @@ func TestRunUniformLowLoadFewBlocks(t *testing.T) {
 	s := buildSim(t, "adaptive", 70, 2)
 	// Offered load per cell: rate * hold = 0.0002 * 5000 = 1 Erlang
 	// against ~10 primaries — negligible blocking.
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		Profile:  Uniform{PerCell: 0.0002},
 		MeanHold: 5000,
 		Duration: 200_000,
@@ -259,7 +265,7 @@ func TestRunUniformLowLoadFewBlocks(t *testing.T) {
 func TestRunHighLoadBlocksFixed(t *testing.T) {
 	s := buildSim(t, "fixed", 35, 3)
 	// ~4 Erlang per cell against 5 primaries → visible Erlang-B blocking.
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		Profile:  Uniform{PerCell: 0.001},
 		MeanHold: 4000,
 		Duration: 150_000,
@@ -277,7 +283,7 @@ func TestRunHighLoadBlocksFixed(t *testing.T) {
 func TestArrivalRateMatchesProfile(t *testing.T) {
 	s := buildSim(t, "fixed", 35, 4)
 	const rate, duration = 0.001, 300_000.0
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		Profile:  Uniform{PerCell: rate},
 		MeanHold: 100, // short calls: blocking-free counting
 		Duration: sim.Time(duration),
@@ -296,7 +302,7 @@ func TestArrivalRateMatchesProfile(t *testing.T) {
 func TestHotspotConcentratesLoad(t *testing.T) {
 	s := buildSim(t, "adaptive", 70, 5)
 	center := s.Grid().InteriorCell()
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		Profile:  NewHotspot(s.Grid(), center, 0, 0.00005, 0.002),
 		MeanHold: 3000,
 		Duration: 150_000,
@@ -328,7 +334,7 @@ func TestHotspotConcentratesLoad(t *testing.T) {
 // birth and reported zero.
 func TestHandoffsCountedByEventTime(t *testing.T) {
 	s := buildSim(t, "adaptive", 70, 12)
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		// Arrivals stop at 10_000, before warmup ends at 12_000.
 		Profile:     Ramp{From: 0.0005, To: 0, Start: 10_000, End: 10_001},
 		MeanHold:    30_000, // calls outlive the warmup boundary
@@ -350,7 +356,7 @@ func TestHandoffsCountedByEventTime(t *testing.T) {
 
 func TestHandoffsHappenAndAreCounted(t *testing.T) {
 	s := buildSim(t, "adaptive", 70, 6)
-	st, err := Run(s, Spec{
+	st, err := RunParallel(s, Spec{
 		Profile:     Uniform{PerCell: 0.0002},
 		MeanHold:    5000,
 		HandoffRate: 0.0005, // expect ~2.5 handoffs per call

@@ -53,27 +53,6 @@ const hugeHorizon = 400_000
 // latencies).
 const shortHorizon = 2_000
 
-func runTruncSerial(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, spec traffic.Spec) (mobileOutcome, *driver.Sim) {
-	t.Helper()
-	factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 7, TraceSize: 1 << 16})
-	ts, err := traffic.Run(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	use := make([]chanset.Set, g.NumCells())
-	for c := range use {
-		use[c] = s.Allocator(hexgrid.CellID(c)).InUse()
-	}
-	return mobileOutcome{stats: s.Stats(), traffic: ts, trace: s.Trace(), use: use}, s
-}
-
 func runTruncParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, spec traffic.Spec, shards, workers int) (mobileOutcome, *driver.Parallel) {
 	t.Helper()
 	factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
@@ -112,20 +91,21 @@ func measuredTrace(evs []trace.Event, spec traffic.Spec) []trace.Event {
 	return out
 }
 
-// TestRunParallelTruncatedMatchesFullDrain is the tentpole's equality
+// TestRunParallelTruncatedMatchesFullDrain is the truncation equality
 // gate: a genuinely-truncating run (short horizon, most residual holds
 // force-released at the cutoff) must produce the identical workload
 // stats and the identical measurement-window trace as a run whose
-// horizon lies past natural quiescence (nothing truncated) — on the
-// serial driver, on the sharded driver, and serial-vs-sharded. Mobility
-// and warm-start are both on, covering the windowed handoff tallies and
-// the seeded-residual force-release path.
+// horizon lies past natural quiescence (nothing truncated) — serially
+// (one shard, one worker) and at 7 shards. Mobility and warm-start are
+// both on, covering the windowed handoff tallies and the
+// seeded-residual force-release path. Equality across shard and worker
+// counts is TestRunParallelTruncatedDeterminism's job.
 func TestRunParallelTruncatedMatchesFullDrain(t *testing.T) {
 	g, assign := truncGrid(t)
 	short, full := truncSpec(g, shortHorizon), truncSpec(g, hugeHorizon)
 
-	serShort, simShort := runTruncSerial(t, g, assign, short)
-	serFull, _ := runTruncSerial(t, g, assign, full)
+	serShort, simShort := runTruncParallel(t, g, assign, short, 1, 1)
+	serFull, _ := runTruncParallel(t, g, assign, full, 1, 1)
 	if serShort.traffic.Offered == 0 || serShort.traffic.HandoffAttempts == 0 {
 		t.Fatalf("workload too tame: %+v", serShort.traffic)
 	}
@@ -149,7 +129,7 @@ func TestRunParallelTruncatedMatchesFullDrain(t *testing.T) {
 	// Blocked and the handoff counters differ by design there: the
 	// legacy tally window never closes, so it includes post-Duration
 	// deferral denials and drain-era crossings.
-	serLegacy, _ := runTruncSerial(t, g, assign, truncSpec(g, 0))
+	serLegacy, _ := runTruncParallel(t, g, assign, truncSpec(g, 0), 1, 1)
 	if serShort.traffic.Offered != serLegacy.traffic.Offered ||
 		!reflect.DeepEqual(serShort.traffic.PerCellOffered, serLegacy.traffic.PerCellOffered) {
 		t.Errorf("truncated offered schedule diverged from legacy full drain:\n trunc  %+v\n legacy %+v", serShort.traffic, serLegacy.traffic)
@@ -173,29 +153,13 @@ func TestRunParallelTruncatedMatchesFullDrain(t *testing.T) {
 		t.Errorf("parallel truncated run left %d requests outstanding", pShort.Outstanding())
 	}
 
-	// Serial vs sharded on the same truncated spec: identical workload
-	// stats, integer driver tallies and use sets (float delay
-	// aggregates merge in different orders, as in the mobility suite).
-	if !reflect.DeepEqual(parShort.traffic, serShort.traffic) {
-		t.Errorf("truncated traffic stats diverged serial vs sharded:\n par    %+v\n serial %+v", parShort.traffic, serShort.traffic)
-	}
-	pST, sST := parShort.stats, serShort.stats
-	if pST.Grants != sST.Grants || pST.Denies != sST.Denies ||
-		pST.Messages.Total != sST.Messages.Total ||
-		!reflect.DeepEqual(pST.CellGrants, sST.CellGrants) ||
-		!reflect.DeepEqual(pST.CellDenies, sST.CellDenies) ||
-		!reflect.DeepEqual(pST.Counters, sST.Counters) {
-		t.Error("truncated integer driver stats diverged serial vs sharded")
-	}
-	if !reflect.DeepEqual(parShort.use, serShort.use) {
-		t.Error("truncated channel-use sets diverged serial vs sharded")
-	}
 }
 
 // TestRunParallelTruncatedForcedReleaseAtCutoff pins the mechanism the
 // equality test relies on: with warm-start residuals outliving the
 // short horizon, the truncated trace must contain forced EvRelease
-// events at exactly the cutoff tick — and none later — on both drivers.
+// events at exactly the cutoff tick — and none later — serially and at
+// 7 shards.
 func TestRunParallelTruncatedForcedReleaseAtCutoff(t *testing.T) {
 	g, assign := truncGrid(t)
 	spec := truncSpec(g, shortHorizon)
@@ -215,10 +179,7 @@ func TestRunParallelTruncatedForcedReleaseAtCutoff(t *testing.T) {
 			t.Errorf("%s: no forced releases at cutoff %d — workload did not truncate", driverName, cutoff)
 		}
 	}
-	// Traces are checked per driver, not across them: request ids (and
-	// same-tick interleavings) differ serial vs sharded by design, as
-	// in the mobility suite.
-	ser, _ := runTruncSerial(t, g, assign, spec)
+	ser, _ := runTruncParallel(t, g, assign, spec, 1, 1)
 	check("serial", ser.trace)
 	par, _ := runTruncParallel(t, g, assign, spec, 7, 2)
 	check("parallel", par.trace)
@@ -261,19 +222,16 @@ func TestRunParallelTruncatedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunParallelRejectsNegativeDrainHorizon pins the validation on
-// both drivers: a negative horizon is a spec bug, with a descriptive
-// error naming the field.
+// TestRunParallelRejectsNegativeDrainHorizon pins the validation: a
+// negative horizon is a spec bug, with a descriptive error naming the
+// field.
 func TestRunParallelRejectsNegativeDrainHorizon(t *testing.T) {
-	_, _, newPar, s := parFixture(t)
+	newPar := parFixture(t)
 	spec := traffic.Spec{
 		Profile: traffic.Uniform{PerCell: 0.001}, MeanHold: 3000,
 		Duration: 1000, Seed: 1, DrainHorizon: -1,
 	}
-	if _, err := traffic.RunParallel(newPar(), spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {
-		t.Errorf("parallel: want descriptive DrainHorizon error, got %v", err)
-	}
-	if _, err := traffic.Run(s, spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {
-		t.Errorf("serial: want descriptive DrainHorizon error, got %v", err)
+	if _, err := traffic.RunParallel(newPar(7, 2), spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {
+		t.Errorf("want descriptive DrainHorizon error, got %v", err)
 	}
 }

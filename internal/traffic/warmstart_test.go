@@ -95,54 +95,24 @@ func TestRunParallelWarmStartDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunParallelWarmStartMatchesSerial pins the serial engine to the
-// same warm-started trajectory: equal telephony stats, equal integer
-// driver tallies and equal final channel-use sets (floating-point delay
-// aggregates are merge-order-sensitive and excluded, as in the mobility
-// equivalence test).
+// TestRunParallelWarmStartMatchesSerial pins the serial configuration
+// (one shard, one worker) to the same warm-started trajectory as 7 and
+// 16 shards: equal telephony stats, equal driver stats and equal final
+// channel-use sets.
 func TestRunParallelWarmStartMatchesSerial(t *testing.T) {
 	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	assign := chanset.MustAssign(g, 70)
-	factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := warmSpec(g)
-	s := driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 7})
-	serialTS, err := traffic.Run(s, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialST := s.Stats()
-	for _, shards := range []int{1, 7, 16} {
-		p, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{
-			Latency: 10, Seed: 7, Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
+	serial := runWarmParallel(t, g, assign, 1, 1)
+	for _, shards := range []int{7, 16} {
+		par := runWarmParallel(t, g, assign, shards, 0)
+		if !reflect.DeepEqual(par.traffic, serial.traffic) {
+			t.Errorf("shards=%d traffic stats diverged from serial:\n par    %+v\n serial %+v", shards, par.traffic, serial.traffic)
 		}
-		parTS, err := traffic.RunParallel(p, spec)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(par.stats, serial.stats) {
+			t.Errorf("shards=%d driver stats diverged from serial", shards)
 		}
-		if !reflect.DeepEqual(parTS, serialTS) {
-			t.Errorf("shards=%d traffic stats diverged from serial:\n par    %+v\n serial %+v", shards, parTS, serialTS)
-		}
-		parST := p.Stats()
-		if parST.Grants != serialST.Grants || parST.Denies != serialST.Denies ||
-			parST.Messages.Total != serialST.Messages.Total ||
-			!reflect.DeepEqual(parST.CellGrants, serialST.CellGrants) ||
-			!reflect.DeepEqual(parST.CellDenies, serialST.CellDenies) ||
-			!reflect.DeepEqual(parST.Counters, serialST.Counters) {
-			t.Errorf("shards=%d integer driver stats diverged from serial", shards)
-		}
-		for c := 0; c < g.NumCells(); c++ {
-			su := s.Allocator(hexgrid.CellID(c)).InUse()
-			pu := p.Allocator(hexgrid.CellID(c)).InUse()
-			if !reflect.DeepEqual(su, pu) {
-				t.Errorf("shards=%d cell %d channel-use set diverged from serial", shards, c)
-				break
-			}
+		if !reflect.DeepEqual(par.use, serial.use) {
+			t.Errorf("shards=%d channel-use sets diverged from serial", shards)
 		}
 	}
 }
@@ -192,11 +162,11 @@ func TestRunParallelWarmStartOccupancy(t *testing.T) {
 	}
 }
 
-// TestRunParallelRejectsBadWarmup pins the validation bugfix on both
-// drivers: a negative warmup and a warmup that outlives the arrival
-// window are spec bugs, not measurement choices.
+// TestRunParallelRejectsBadWarmup pins the validation: a negative
+// warmup and a warmup that outlives the arrival window are spec bugs,
+// not measurement choices.
 func TestRunParallelRejectsBadWarmup(t *testing.T) {
-	_, _, newPar, s := parFixture(t)
+	newPar := parFixture(t)
 	neg := traffic.Spec{
 		Profile: traffic.Uniform{PerCell: 0.001}, MeanHold: 3000,
 		Duration: 1000, Warmup: -1, Seed: 1,
@@ -206,11 +176,8 @@ func TestRunParallelRejectsBadWarmup(t *testing.T) {
 		Duration: 1000, Warmup: 1000, Seed: 1,
 	}
 	for name, spec := range map[string]traffic.Spec{"negative": neg, "late": late} {
-		if _, err := traffic.RunParallel(newPar(), spec); err == nil || !strings.Contains(err.Error(), "Warmup") {
-			t.Errorf("parallel %s warmup: want descriptive Warmup error, got %v", name, err)
-		}
-		if _, err := traffic.Run(s, spec); err == nil || !strings.Contains(err.Error(), "Warmup") {
-			t.Errorf("serial %s warmup: want descriptive Warmup error, got %v", name, err)
+		if _, err := traffic.RunParallel(newPar(7, 2), spec); err == nil || !strings.Contains(err.Error(), "Warmup") {
+			t.Errorf("%s warmup: want descriptive Warmup error, got %v", name, err)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import "repro/internal/obs"
 // family per transport counter (wire traffic, injected faults,
 // reliability-layer work). stats is called at collection time, so it
 // must be safe to invoke from the scrape goroutine — Live, Faulty and
-// Reliable all satisfy this (atomics or mutex-guarded Stats); the DES
-// transport does not, which is why the DES driver counts messages
-// inline instead of registering here.
+// Reliable all satisfy this (atomics or mutex-guarded Stats). The
+// simulation driver keeps per-shard Stats that are not, which is why it
+// counts messages inline instead of registering here.
 //
 // Registering several stats funcs (one per node) under one registry is
 // supported: func collectors under the same name sum at collection

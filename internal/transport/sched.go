@@ -133,8 +133,8 @@ func (s *delaySched) drain() {
 	}
 }
 
-// push appends e and sifts it up (4-ary heap, same layout as
-// sim.Engine's event queue); it reports whether e became the new
+// push appends e and sifts it up (4-ary heap, same layout as the
+// sim kernel's shard queues); it reports whether e became the new
 // minimum, i.e. the scheduler's wake-up deadline moved earlier.
 func (s *delaySched) push(e delayed) bool {
 	s.heap = append(s.heap, e)

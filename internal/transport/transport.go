@@ -1,14 +1,14 @@
 // Package transport delivers control messages between mobile service
-// stations. Two implementations share one interface:
+// stations on the concurrent runtimes. Live runs one goroutine per
+// station with channel mailboxes and real (scaled) delays — the
+// "goroutines are base stations" runtime used to shake out ordering
+// assumptions under true concurrency; Faulty and Reliable decorate any
+// Transport (Live, or netrun's TCP fabric) with injected faults and
+// ack/retransmit recovery. Deterministic simulation delivers messages
+// on the event kernel instead (internal/driver).
 //
-//   - DES: deterministic delivery on the discrete-event engine with a
-//     fixed (optionally jittered) one-way latency T, per-link FIFO.
-//   - Live: one goroutine per station with channel mailboxes and real
-//     (scaled) delays — the "goroutines are base stations" runtime used
-//     to shake out ordering assumptions under true concurrency.
-//
-// Both count traffic by message kind so experiments can report the
-// paper's message-complexity metric.
+// Every implementation counts traffic by message kind (Stats) so
+// experiments can report the paper's message-complexity metric.
 package transport
 
 import (
@@ -90,7 +90,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Count records one sent message. Exported for drivers that keep their
-// own per-shard Stats (the parallel DES driver) rather than wrapping a
+// own per-shard Stats (the simulation driver) rather than wrapping a
 // Transport implementation.
 func (s *Stats) Count(m message.Message) { s.count(m) }
 
@@ -110,7 +110,7 @@ type Idler interface {
 }
 
 // innerIdle reports whether t is idle, treating transports without an
-// idleness notion (e.g. DES, where the engine owns time) as always idle.
+// idleness notion as always idle.
 func innerIdle(t Transport) bool {
 	if i, ok := t.(Idler); ok {
 		return i.Idle()
@@ -135,8 +135,8 @@ type Unwrapper interface {
 }
 
 // registrarOf returns the nearest WorkRegistrar at or beneath t, or nil
-// when the stack bottoms out without one (e.g. a DES transport, whose
-// engine owns time and needs no idleness accounting).
+// when the stack bottoms out without one (e.g. netrun's TCP fabric,
+// which tracks its own in-flight frames).
 func registrarOf(t Transport) WorkRegistrar {
 	for t != nil {
 		if r, ok := t.(WorkRegistrar); ok {

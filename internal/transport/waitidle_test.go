@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hexgrid"
 	"repro/internal/message"
 )
 
@@ -107,8 +108,16 @@ func TestRegistrarOfFindsLiveThroughStack(t *testing.T) {
 	if registrarOf(tr) != WorkRegistrar(live) {
 		t.Fatal("registrarOf did not find Live beneath Faulty")
 	}
-	des := NewDES(nil, 1, 0, nil)
-	if registrarOf(des) != nil {
-		t.Fatal("registrarOf invented a registrar for DES")
+	var bare Transport = stubTransport{}
+	if registrarOf(NewFaulty(bare, FaultConfig{})) != nil {
+		t.Fatal("registrarOf invented a registrar for a stack without one")
 	}
 }
+
+// stubTransport is a transport with no idleness accounting and no
+// inner layer: the bottom of a stack that offers no WorkRegistrar.
+type stubTransport struct{}
+
+func (stubTransport) Attach(hexgrid.CellID, Handler) {}
+func (stubTransport) Send(message.Message)           {}
+func (stubTransport) Stats() Stats                   { return Stats{} }

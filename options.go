@@ -14,10 +14,13 @@ package adca
 type Option func(*runConfig)
 
 // runConfig is the resolved form of a facade call: the scenario plus
-// the parallel-runner sizing (ignored by the serial driver).
+// the RunParallel sizing (New always runs on one shard). shards is the
+// tile count (0: min(16, cells)) and workers the goroutine count
+// advancing them (0: NumCPU); neither changes results.
 type runConfig struct {
-	sc Scenario
-	pc ParallelConfig
+	sc      Scenario
+	shards  int
+	workers int
 }
 
 func applyOptions(sc Scenario, opts []Option) runConfig {
@@ -58,11 +61,11 @@ func WithLender(name string, params map[string]float64) Option {
 
 // WithShards sets the sharded runner's tile count (RunParallel only).
 func WithShards(n int) Option {
-	return func(c *runConfig) { c.pc.Shards = n }
+	return func(c *runConfig) { c.shards = n }
 }
 
 // WithWorkers sets the sharded runner's goroutine count (RunParallel
 // only; never affects results).
 func WithWorkers(n int) Option {
-	return func(c *runConfig) { c.pc.Workers = n }
+	return func(c *runConfig) { c.workers = n }
 }
