@@ -49,10 +49,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	net := livenet.New(grid, assign, factory, livenet.Options{
-		Delay: 100 * time.Microsecond, LatencyTicks: 10, Seed: uint64(*seed),
+	net, err := livenet.New(grid, assign, factory, 100*time.Microsecond, livenet.Options{
+		LatencyTicks: 10, Seed: uint64(*seed),
 	})
-	defer net.Stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer net.Close()
 
 	// Shared view of committed holdings, maintained from callbacks.
 	var mu sync.Mutex
@@ -112,7 +116,7 @@ func main() {
 		mu.Unlock()
 		fmt.Printf("\033[H\033[2J%s", frame)
 		fmt.Printf("scheme=%s grants=%d denies=%d msgs=%d\n",
-			*scheme, net.Grants(), net.Denies(), net.Messages().Total)
+			*scheme, net.Grants(), net.Denies(), net.Stats().Total)
 		if err := net.Violation(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

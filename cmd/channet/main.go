@@ -29,8 +29,8 @@ import (
 
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/livenet"
 	"repro/internal/metrics"
-	"repro/internal/netrun"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/transport"
@@ -105,10 +105,6 @@ func main() {
 			Seed: *seed, Drop: *drop, Duplicate: *dup, Reorder: *reorder,
 			JitterMax: *jitter,
 		}
-		if err := fault.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		fmt.Printf("fault model: drop=%.3f dup=%.3f reorder=%.3f jitter≤%v (seed %d), reliability layer on\n",
 			*drop, *dup, *reorder, *jitter, *seed)
 	}
@@ -119,19 +115,19 @@ func main() {
 		parts[c%*nNodes] = append(parts[c%*nNodes], hexgrid.CellID(c))
 		owner[hexgrid.CellID(c)] = c % *nNodes
 	}
-	nodes := make([]*netrun.Node, *nNodes)
+	nodes := make([]*livenet.Node, *nNodes)
 	for i := range nodes {
-		cfg := netrun.Config{
-			Cells: parts[i], LatencyTicks: 10, Seed: uint64(i) + 1,
+		opts := livenet.Options{
+			LatencyTicks: 10, Seed: uint64(i) + 1,
 			RequestTimeout: *timeout,
 			Obs:            reg, Journal: journal,
 		}
 		if fault != nil {
 			f := *fault
 			f.Seed = *seed + uint64(i)
-			cfg.Fault = &f
+			opts.Fault = &f
 		}
-		n, err := netrun.NewNode(grid, assign, factory, "127.0.0.1:0", cfg)
+		n, err := livenet.NewNode(grid, assign, factory, "127.0.0.1:0", parts[i], opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -164,10 +160,10 @@ func main() {
 		cell := region[i%len(region)]
 		host := nodes[owner[cell]]
 		wg.Add(1)
-		go func(cell hexgrid.CellID, host *netrun.Node, hold time.Duration) {
+		go func(cell hexgrid.CellID, host *livenet.Node, hold time.Duration) {
 			defer wg.Done()
-			done := make(chan netrun.Result, 1)
-			host.Request(cell, func(r netrun.Result) { done <- r })
+			done := make(chan livenet.Result, 1)
+			host.Request(cell, func(r livenet.Result) { done <- r })
 			select {
 			case r := <-done:
 				mu.Lock()
@@ -208,7 +204,14 @@ func main() {
 	tally.Add("retry budget exhausted", agg.RetryExhausted)
 
 	fmt.Printf("granted %d, denied %d\n\n%s\n", granted, denied, tally.String())
-	// Committed-outcome interference check across the whole grid.
+	// Theorem 1 per node over its hosted cells' committed outcomes...
+	for i, n := range nodes {
+		if err := n.Violation(); err != nil {
+			fmt.Fprintf(os.Stderr, "node %d: %v\n", i, err)
+			os.Exit(1)
+		}
+	}
+	// ...then the settled holdings across node boundaries.
 	for c := 0; c < grid.NumCells(); c++ {
 		a := hexgrid.CellID(c)
 		ua := nodes[owner[a]].InUse(a)

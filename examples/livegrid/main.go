@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -25,12 +26,16 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	net := livenet.New(grid, assign, factory, livenet.Options{
-		Delay:        150 * time.Microsecond, // wire latency
+	// 150µs one-way wire latency.
+	net, err := livenet.New(grid, assign, factory, 150*time.Microsecond, livenet.Options{
 		LatencyTicks: 10,
 		Seed:         99,
 	})
-	defer net.Stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer net.Close()
 
 	center := grid.InteriorCell()
 	targets := append([]hexgrid.CellID{center}, grid.Interference(center)...)
@@ -72,6 +77,6 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("completed: %d granted, %d denied (spectrum has only 21 channels)\n", granted, denied)
-	fmt.Printf("control messages: %d\n", net.Messages().Total)
+	fmt.Printf("control messages: %d\n", net.Stats().Total)
 	fmt.Println("no co-channel interference across all interleavings — Theorem 1 held live")
 }

@@ -1,9 +1,9 @@
 package experiments
 
 // Network benchmark: the live-runtime companion to the DES kernel
-// bench. It stands up a two-node netrun cluster on loopback TCP and
+// bench. It stands up a two-node livenet TCP cluster on loopback and
 // times full borrow+release rounds whose permission traffic crosses
-// the wire, mirroring internal/netrun's BenchmarkDistributedBorrow so
+// the wire, mirroring internal/livenet's BenchmarkDistributedBorrow so
 // `chansim -bench` numbers and `go test -bench` numbers agree.
 
 import (
@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
-	"repro/internal/netrun"
+	"repro/internal/livenet"
 	"repro/internal/registry"
 )
 
@@ -67,11 +67,10 @@ func RunNetworkBench(quick bool) (NetworkBench, error) {
 		parts[c%2] = append(parts[c%2], hexgrid.CellID(c))
 		owner[hexgrid.CellID(c)] = c % 2
 	}
-	nodes := make([]*netrun.Node, 2)
+	nodes := make([]*livenet.Node, 2)
 	for i := range nodes {
-		n, err := netrun.NewNode(grid, assign, factory, "127.0.0.1:0", netrun.Config{
-			Cells: parts[i], LatencyTicks: 10, Seed: uint64(i) + 1,
-			TickDuration: 20 * time.Microsecond,
+		n, err := livenet.NewNode(grid, assign, factory, "127.0.0.1:0", parts[i], livenet.Options{
+			LatencyTicks: 10, Seed: uint64(i) + 1, TickDuration: 20 * time.Microsecond,
 		})
 		if err != nil {
 			return NetworkBench{}, err
@@ -88,11 +87,11 @@ func RunNetworkBench(quick bool) (NetworkBench, error) {
 	}
 	cell := grid.InteriorCell()
 	host := nodes[owner[cell]]
-	done := make(chan netrun.Result, 1)
+	done := make(chan livenet.Result, 1)
 	// Exhaust the primaries once so every timed round is a real borrow
 	// with a cross-node permission exchange.
 	for i := 0; i < assign.Primary[cell].Len(); i++ {
-		host.Request(cell, func(r netrun.Result) { done <- r })
+		host.Request(cell, func(r livenet.Result) { done <- r })
 		if r := <-done; !r.Granted {
 			return NetworkBench{}, errSetupGrant
 		}
@@ -111,7 +110,7 @@ func RunNetworkBench(quick bool) (NetworkBench, error) {
 	runtime.ReadMemStats(&ms0)
 	t0 := time.Now()
 	for i := uint64(0); i < rounds; i++ {
-		host.Request(cell, func(r netrun.Result) { done <- r })
+		host.Request(cell, func(r livenet.Result) { done <- r })
 		r := <-done
 		if !r.Granted {
 			return NetworkBench{}, errBorrowDenied

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/livenet"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/transport"
 )
@@ -26,14 +27,18 @@ func build(t *testing.T, scheme string, channels int, delay time.Duration, seed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return livenet.New(g, assign, f, livenet.Options{
-		Delay: delay, LatencyTicks: 10, Seed: seed, TickDuration: 50 * time.Microsecond,
+	n, err := livenet.New(g, assign, f, delay, livenet.Options{
+		LatencyTicks: 10, Seed: seed, TickDuration: 50 * time.Microsecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestLiveSingleRequest(t *testing.T) {
 	n := build(t, "adaptive", 70, 0, 1)
-	defer n.Stop()
+	defer n.Close()
 	done := make(chan livenet.Result, 1)
 	n.Request(3, func(r livenet.Result) { done <- r })
 	select {
@@ -53,7 +58,7 @@ func TestLiveConcurrentHammer(t *testing.T) {
 	// Many goroutines fire requests at every cell concurrently, hold
 	// briefly, release. This is the run the race detector chews on.
 	n := build(t, "adaptive", 35, 0, 2)
-	defer n.Stop()
+	defer n.Close()
 	const perCell = 4
 	var wg sync.WaitGroup
 	cells := n.Grid().NumCells()
@@ -93,7 +98,7 @@ func TestLiveConcurrentHammer(t *testing.T) {
 
 func TestLiveWithWireDelay(t *testing.T) {
 	n := build(t, "adaptive", 21, 200*time.Microsecond, 3)
-	defer n.Stop()
+	defer n.Close()
 	// Hot neighborhood with delayed messages: forces borrowing over
 	// real asynchronous links.
 	center := n.Grid().InteriorCell()
@@ -129,7 +134,7 @@ func TestLiveWithWireDelay(t *testing.T) {
 	if err := n.Violation(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Messages().Total == 0 {
+	if n.Stats().Total == 0 {
 		t.Fatal("borrowing under contention must send messages")
 	}
 }
@@ -139,7 +144,7 @@ func TestLiveAllSchemes(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			n := build(t, scheme, 35, 0, 4)
-			defer n.Stop()
+			defer n.Close()
 			var wg sync.WaitGroup
 			for c := 0; c < n.Grid().NumCells(); c += 3 {
 				wg.Add(1)
@@ -183,7 +188,11 @@ func buildFaulty(t *testing.T, scheme string, channels int, seed uint64, opts li
 	opts.LatencyTicks = 10
 	opts.Seed = seed
 	opts.TickDuration = 50 * time.Microsecond
-	return livenet.New(g, assign, f, opts)
+	n, err := livenet.New(g, assign, f, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestLiveFaultyLinksEveryRequestTerminates(t *testing.T) {
@@ -198,7 +207,7 @@ func TestLiveFaultyLinksEveryRequestTerminates(t *testing.T) {
 		Reliable:       &transport.ReliableConfig{Timeout: 2 * time.Millisecond},
 		RequestTimeout: 20 * time.Second,
 	})
-	defer n.Stop()
+	defer n.Close()
 	center := n.Grid().InteriorCell()
 	targets := append([]hexgrid.CellID{center}, n.Grid().Interference(center)...)
 	var wg sync.WaitGroup
@@ -235,7 +244,7 @@ func TestLiveFaultyLinksEveryRequestTerminates(t *testing.T) {
 	if got := n.Grants() + n.Denies(); got != uint64(total) {
 		t.Fatalf("completed %d of %d", got, total)
 	}
-	st := n.Messages()
+	st := n.Stats()
 	if st.DropsInjected == 0 {
 		t.Fatalf("fault layer injected nothing over %d messages: %+v", st.Total, st)
 	}
@@ -257,7 +266,7 @@ func TestLiveDeadlineWatchdogDeniesWedgedRequests(t *testing.T) {
 		},
 		RequestTimeout: 250 * time.Millisecond,
 	})
-	defer n.Stop()
+	defer n.Close()
 	cell := n.Grid().InteriorCell()
 	const reqs = 5 // 3 primaries grant locally; the rest need (dead) links
 	results := make(chan livenet.Result, reqs)
@@ -289,19 +298,126 @@ func TestLiveDeadlineWatchdogDeniesWedgedRequests(t *testing.T) {
 	if n.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after all completions", n.Outstanding())
 	}
-	if st := n.Messages(); st.RetryExhausted == 0 {
+	if st := n.Stats(); st.RetryExhausted == 0 {
 		t.Fatalf("RetryExhausted missing from stats: %+v", st)
 	}
 }
 
 func TestLiveBadReleaseCountedNotFatal(t *testing.T) {
 	n := build(t, "adaptive", 70, 0, 13)
-	defer n.Stop()
+	defer n.Close()
 	n.Release(5, 3) // never granted: must be counted, not panic
 	if !n.WaitSettled(5 * time.Second) {
 		t.Fatal("did not settle")
 	}
 	if n.BadReleases() != 1 {
 		t.Fatalf("BadReleases = %d, want 1", n.BadReleases())
+	}
+}
+
+// station is the host API both fabrics share.
+type station interface {
+	Request(hexgrid.CellID, func(livenet.Result))
+	InUse(hexgrid.CellID) chanset.Set
+	DeadlineDenials() uint64
+	Violation() error
+	WaitSettled(time.Duration) bool
+}
+
+// fabrics builds the same 7×7 adaptive network on each fabric and
+// returns its grid and the station hosting a given cell.
+var fabrics = []struct {
+	name  string
+	build func(t *testing.T, channels int, opts livenet.Options) (*hexgrid.Grid, func(hexgrid.CellID) station)
+}{
+	{"in-process", func(t *testing.T, channels int, opts livenet.Options) (*hexgrid.Grid, func(hexgrid.CellID) station) {
+		n := buildFaulty(t, "adaptive", channels, 21, opts)
+		t.Cleanup(n.Close)
+		return n.Grid(), func(hexgrid.CellID) station { return n }
+	}},
+	{"tcp", func(t *testing.T, channels int, opts livenet.Options) (*hexgrid.Grid, func(hexgrid.CellID) station) {
+		_, grid, hostOf := cluster(t, "adaptive", channels, 2, 21, opts)
+		return grid, func(c hexgrid.CellID) station { return hostOf[c] }
+	}},
+}
+
+func TestLateGrantReleasedAndCounted(t *testing.T) {
+	// A borrow round that outlasts RequestTimeout: the caller sees a
+	// deadline denial, and the grant that arrives afterwards is handed
+	// back and counted rather than leaked into the cell's holdings.
+	for _, fab := range fabrics {
+		fab := fab
+		t.Run(fab.name, func(t *testing.T) {
+			reg := obs.New()
+			grid, hostOf := fab.build(t, 21, livenet.Options{
+				Fault:          &transport.FaultConfig{JitterMin: 100 * time.Millisecond, JitterMax: 100 * time.Millisecond},
+				Reliable:       &transport.ReliableConfig{Timeout: time.Second},
+				RequestTimeout: 20 * time.Millisecond,
+				Obs:            reg,
+			})
+			cell := grid.InteriorCell()
+			h := hostOf(cell)
+			done := make(chan livenet.Result, 1)
+			// 21 channels → 3 primaries per cell, all granted locally.
+			var held chanset.Set
+			for i := 0; i < 3; i++ {
+				h.Request(cell, func(r livenet.Result) { done <- r })
+				r := <-done
+				if !r.Granted {
+					t.Fatalf("primary request %d denied", i)
+				}
+				held.Add(r.Ch)
+			}
+			// The fourth borrows over links 100ms slow each way.
+			h.Request(cell, func(r livenet.Result) { done <- r })
+			if r := <-done; r.Granted {
+				t.Fatalf("borrow granted within its 20ms deadline: %+v", r)
+			}
+			if got := h.DeadlineDenials(); got != 1 {
+				t.Fatalf("DeadlineDenials = %d, want 1", got)
+			}
+			deadline := time.Now().Add(20 * time.Second)
+			for reg.Snapshot()["adca_late_grants_total"] != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("late grant never counted: adca_late_grants_total = %v",
+						reg.Snapshot()["adca_late_grants_total"])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !h.WaitSettled(20 * time.Second) {
+				t.Fatal("did not settle")
+			}
+			if got := h.InUse(cell); !got.Equal(held) {
+				t.Fatalf("InUse(%d) = %v after the late grant, want the primaries %v", cell, got, held)
+			}
+			if err := h.Violation(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func TestBadFaultConfigIsAnError(t *testing.T) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(g, 21)
+	f, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := livenet.Options{Fault: &transport.FaultConfig{Drop: 2}}
+	for _, tc := range []struct {
+		name  string
+		build func() (interface{ Close() }, error)
+	}{
+		{"New", func() (interface{ Close() }, error) { return livenet.New(g, assign, f, 0, opts) }},
+		{"NewNode", func() (interface{ Close() }, error) {
+			return livenet.NewNode(g, assign, f, "127.0.0.1:0", []hexgrid.CellID{0, 1}, opts)
+		}},
+	} {
+		n, err := tc.build()
+		if err == nil {
+			n.Close()
+			t.Errorf("%s accepted Fault{Drop: 2}", tc.name)
+		}
 	}
 }

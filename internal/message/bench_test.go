@@ -35,8 +35,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkReaderNext measures the streaming decode path netrun's
-// readLoop runs per wire message (scratch frame buffer reused).
+// BenchmarkReaderNext measures the streaming decode path the livenet TCP
+// fabric's readLoop runs per wire message (scratch frame buffer reused).
 func BenchmarkReaderNext(b *testing.B) {
 	frame := Encode(nil, benchMessage())
 	stream := &replayReader{frame: frame}
@@ -63,7 +63,7 @@ func (r *replayReader) Read(p []byte) (int, error) {
 
 // TestEncodeAllocFree pins the wire path's send-side allocation budget:
 // encoding into a reused scratch buffer must not allocate at all — the
-// property the netrun writer goroutines rely on.
+// property the livenet TCP writer goroutines rely on.
 func TestEncodeAllocFree(t *testing.T) {
 	m := benchMessage()
 	buf := make([]byte, 0, 256)

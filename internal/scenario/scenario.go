@@ -79,20 +79,6 @@ type Hotspot struct {
 	Radius int `json:"radius"`
 }
 
-// Fault is the JSON fault-model block for live-runtime scenarios: the
-// knobs of transport.FaultConfig plus the per-request deadline. All
-// probabilities are per message in [0, 1]; durations are microseconds
-// (wall time — the fault model degrades the live transport, not the
-// DES, whose delivery the event kernel owns).
-type Fault struct {
-	Seed             uint64  `json:"seed"`
-	Drop             float64 `json:"drop"`
-	Duplicate        float64 `json:"duplicate"`
-	Reorder          float64 `json:"reorder"`
-	JitterMaxMicros  int64   `json:"jitter_max_micros"`
-	RequestTimeoutMS int64   `json:"request_timeout_ms"`
-}
-
 // Phase is one timed hotspot episode: the cells within Radius of the
 // center run at Erlang offered load from StartTicks (inclusive) to
 // EndTicks (exclusive). A nil CenterCell selects the grid's interior
@@ -144,7 +130,6 @@ type Scenario struct {
 	Predictor    *Policy   `json:"predictor"`
 	Lender       *Policy   `json:"lender"`
 	Workload     *Workload `json:"workload"`
-	Fault        *Fault    `json:"fault"`
 }
 
 // Load parses the JSON file at path. Unknown fields are rejected —
@@ -227,19 +212,6 @@ func (sc Scenario) Validate() error {
 	if l := sc.Lender; l != nil {
 		if _, err := policy.BuildStrategy(policy.Spec{Name: l.Name, Params: l.Params}); err != nil {
 			return fmt.Errorf("lender: %w", err)
-		}
-	}
-	if f := sc.Fault; f != nil {
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{{"drop", f.Drop}, {"duplicate", f.Duplicate}, {"reorder", f.Reorder}} {
-			if p.v < 0 || p.v > 1 {
-				return fmt.Errorf("fault %s probability %v outside [0,1]", p.name, p.v)
-			}
-		}
-		if f.JitterMaxMicros < 0 || f.RequestTimeoutMS < 0 {
-			return fmt.Errorf("fault durations must be >= 0: %+v", *f)
 		}
 	}
 	return nil

@@ -3,7 +3,7 @@
 // station with channel mailboxes and real (scaled) delays — the
 // "goroutines are base stations" runtime used to shake out ordering
 // assumptions under true concurrency; Faulty and Reliable decorate any
-// Transport (Live, or netrun's TCP fabric) with injected faults and
+// Transport (Live, or livenet's TCP fabric) with injected faults and
 // ack/retransmit recovery. Deterministic simulation delivers messages
 // on the event kernel instead (internal/driver).
 //
@@ -135,7 +135,7 @@ type Unwrapper interface {
 }
 
 // registrarOf returns the nearest WorkRegistrar at or beneath t, or nil
-// when the stack bottoms out without one (e.g. netrun's TCP fabric,
+// when the stack bottoms out without one (e.g. livenet's TCP fabric,
 // which tracks its own in-flight frames).
 func registrarOf(t Transport) WorkRegistrar {
 	for t != nil {
