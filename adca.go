@@ -19,8 +19,8 @@
 //	_ = id // matches Result.ID in the callback
 //
 // Everything is deterministic given Scenario.Seed — including with
-// observability enabled (Scenario.Obs): instruments observe the
-// protocol but never feed back into it.
+// observability enabled (Scenario.Obs), whose instruments observe the
+// protocol but never feed back into it, and at any Scenario.Shards.
 package adca
 
 import (
@@ -59,8 +59,8 @@ type Scenario struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// CheckInterference enables the Theorem-1 invariant checker on
-	// every grant — under RunParallel at several shards, at every
-	// window barrier instead (panics on violation).
+	// every grant — with several shards, at every window barrier
+	// instead (panics on violation).
 	CheckInterference bool
 	// Adaptive overrides the adaptive scheme's tuning (nil: defaults).
 	Adaptive *AdaptiveParams
@@ -73,8 +73,16 @@ type Scenario struct {
 	// MaxRounds caps the retries of the update-based baselines.
 	MaxRounds int
 	// Obs, when non-nil, enables observability: labeled metrics (and
-	// optionally a Prometheus endpoint and a JSONL event journal).
+	// optionally a Prometheus endpoint and a JSONL event journal; the
+	// journal needs one shard).
 	Obs *ObsConfig
+	// Shards splits the grid into this many tiles, each advanced by the
+	// sharded kernel (0: one shard). Every result is the same at any
+	// shard count; see Network for what changes for callers.
+	Shards int
+	// Workers is the number of goroutines advancing the shards (0:
+	// NumCPU, capped at Shards). It never affects results.
+	Workers int
 }
 
 // ObsConfig enables the observability layer of a Network. The zero
@@ -142,10 +150,17 @@ type Result struct {
 // Schemes lists the available scheme names.
 func Schemes() []string { return registry.Names() }
 
-// Network is a running simulated cellular network. It runs on the
-// driver's serial configuration — one shard, one worker — so requests
-// and releases may be issued directly between runs, and the journal
-// records events in a single deterministic order.
+// Network is a running simulated cellular network. Its trajectory —
+// every Result, Stats, Metrics and Now — is the same at any
+// Scenario.Shards and Scenario.Workers. With more than one shard:
+//   - callbacks run on shard workers, concurrently when Workers > 1, so
+//     anything they share needs its own synchronization;
+//   - Request, RequestAt, Release and ReleaseAt are called between runs
+//     (before or after RunFor, RunUntilIdle or RunWorkload), never from
+//     a callback;
+//   - CheckInterference checks at every window barrier, not per grant;
+//   - a journal is refused by New (its record order would depend on
+//     worker scheduling).
 type Network struct {
 	sim    *driver.Parallel
 	scheme string
@@ -176,6 +191,10 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("adca: JitterTicks must be >= 0, got %d", sc.JitterTicks)
 	case sc.MaxRounds < 0:
 		return fmt.Errorf("adca: MaxRounds must be >= 0, got %d", sc.MaxRounds)
+	case sc.Shards < 0:
+		return fmt.Errorf("adca: Shards must be >= 0, got %d", sc.Shards)
+	case sc.Workers < 0:
+		return fmt.Errorf("adca: Workers must be >= 0, got %d", sc.Workers)
 	}
 	if p := sc.Adaptive; p != nil {
 		switch {
@@ -193,13 +212,11 @@ func (sc Scenario) validate() error {
 	return nil
 }
 
-// buildParts applies the scenario defaults and constructs the pieces
-// shared by New and RunParallel: grid, primary plan and the scheme
-// registry config. It returns the defaulted scenario so callers
-// read back effective values (latency, scheme).
-func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Config, Scenario, error) {
+// New builds a Network from the scenario, applying the defaults of
+// its zero fields.
+func New(sc Scenario) (*Network, error) {
 	if err := sc.validate(); err != nil {
-		return nil, nil, registry.Config{}, sc, err
+		return nil, err
 	}
 	if sc.Scheme == "" {
 		sc.Scheme = "adaptive"
@@ -219,6 +236,9 @@ func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Confi
 	if sc.LatencyTicks == 0 {
 		sc.LatencyTicks = 10
 	}
+	if sc.Shards == 0 {
+		sc.Shards = 1
+	}
 	grid, err := hexgrid.New(hexgrid.Config{
 		Shape: hexgrid.Rect,
 		Width: sc.GridWidth, Height: sc.GridHeight,
@@ -226,11 +246,11 @@ func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Confi
 		Wrap:          sc.Wrap,
 	})
 	if err != nil {
-		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
+		return nil, fmt.Errorf("adca: %w", err)
 	}
 	assign, err := chanset.Assign(grid, sc.Channels)
 	if err != nil {
-		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
+		return nil, fmt.Errorf("adca: %w", err)
 	}
 	cfg := registry.Config{Latency: sim.Time(sc.LatencyTicks), MaxRounds: sc.MaxRounds}
 	if sc.Adaptive != nil {
@@ -244,30 +264,14 @@ func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Confi
 	// Policy selection rides alongside the scalar tuning; registry.Build
 	// keeps the overrides when it derives default scalars.
 	if sc.Predictor != nil {
-		pb, err := policy.BuildPredictor(sc.Predictor.spec())
-		if err != nil {
-			return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
+		if cfg.Adaptive.Predictor, err = policy.BuildPredictor(sc.Predictor.spec()); err != nil {
+			return nil, fmt.Errorf("adca: %w", err)
 		}
-		cfg.Adaptive.Predictor = pb
 	}
 	if sc.Lender != nil {
-		ls, err := policy.BuildStrategy(sc.Lender.spec())
-		if err != nil {
-			return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
+		if cfg.Adaptive.Strategy, err = policy.BuildStrategy(sc.Lender.spec()); err != nil {
+			return nil, fmt.Errorf("adca: %w", err)
 		}
-		cfg.Adaptive.Strategy = ls
-	}
-	return grid, assign, cfg, sc, nil
-}
-
-// New builds a Network from the scenario. Options apply on top of the
-// scenario (WithPredictor, WithLender, WithObs, ...); a bare
-// New(Scenario{...}) keeps its pre-option behavior exactly.
-func New(sc Scenario, opts ...Option) (*Network, error) {
-	sc = applyOptions(sc, opts).sc
-	grid, assign, cfg, sc, err := buildParts(sc)
-	if err != nil {
-		return nil, err
 	}
 	n := &Network{scheme: sc.Scheme}
 	if sc.Obs != nil {
@@ -288,7 +292,8 @@ func New(sc Scenario, opts ...Option) (*Network, error) {
 		Check:   sc.CheckInterference,
 		Obs:     n.reg,
 		Journal: n.journal,
-		Shards:  1,
+		Shards:  sc.Shards,
+		Workers: sc.Workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
@@ -304,8 +309,8 @@ func New(sc Scenario, opts ...Option) (*Network, error) {
 }
 
 // MustNew is New but panics on error (for examples and tests).
-func MustNew(sc Scenario, opts ...Option) *Network {
-	n, err := New(sc, opts...)
+func MustNew(sc Scenario) *Network {
+	n, err := New(sc)
 	if err != nil {
 		panic(err)
 	}
@@ -452,30 +457,11 @@ type Stats struct {
 	// BadReleases counts Release calls for channels the cell did not
 	// hold (rejected with an error, state untouched).
 	BadReleases uint64
-	// Transport is the transport-layer accounting.
-	Transport TransportStats
-}
-
-// TransportStats is the transport-layer slice of Stats. The fault
-// injection and reliability counters stay zero on the deterministic
-// simulation (which models a reliable fabric) and become meaningful on the
-// live and distributed runtimes.
-type TransportStats struct {
-	// Messages and WireBytes count transport traffic (bytes only when
-	// the wire codec is engaged).
-	Messages, WireBytes uint64
-	// DropsInjected/DupsInjected/ReordersInjected count injected faults.
-	DropsInjected, DupsInjected, ReordersInjected uint64
-	// Retransmits/DupsSuppressed/AcksSent/RetryExhausted count
-	// reliability-layer work.
-	Retransmits, DupsSuppressed, AcksSent, RetryExhausted uint64
 }
 
 // Stats returns the current statistics snapshot.
-func (n *Network) Stats() Stats { return networkStats(n.sim.Stats()) }
-
-// networkStats converts a driver snapshot into the public Stats shape.
-func networkStats(st driver.Stats) Stats {
+func (n *Network) Stats() Stats {
+	st := n.sim.Stats()
 	return Stats{
 		Grants:              st.Grants,
 		Denies:              st.Denies,
@@ -492,17 +478,6 @@ func networkStats(st driver.Stats) Stats {
 		ModeChanges:         st.Counters.ModeChanges,
 		Deferred:            st.Counters.Deferred,
 		BadReleases:         st.Counters.BadReleases,
-		Transport: TransportStats{
-			Messages:         st.Messages.Total,
-			WireBytes:        st.Messages.Bytes,
-			DropsInjected:    st.Messages.DropsInjected,
-			DupsInjected:     st.Messages.DupsInjected,
-			ReordersInjected: st.Messages.ReordersInjected,
-			Retransmits:      st.Messages.Retransmits,
-			DupsSuppressed:   st.Messages.DupsSuppressed,
-			AcksSent:         st.Messages.AcksSent,
-			RetryExhausted:   st.Messages.RetryExhausted,
-		},
 	}
 }
 
@@ -604,8 +579,8 @@ type WorkloadStats struct {
 
 // workloadSpec translates the facade Workload (loads in Erlang) into
 // the internal traffic.Spec (rates per tick), building the profile
-// through the shared traffic.BuildProfile so RunWorkload, RunParallel
-// and the scenario loader agree on profile semantics.
+// through the shared traffic.BuildProfile so RunWorkload and the
+// scenario loader agree on profile semantics.
 func workloadSpec(grid *hexgrid.Grid, w Workload) (traffic.Spec, error) {
 	if w.MeanHoldTicks == 0 {
 		w.MeanHoldTicks = 3000
@@ -614,8 +589,8 @@ func workloadSpec(grid *hexgrid.Grid, w Workload) (traffic.Spec, error) {
 		w.DurationTicks = 120_000
 	}
 	// A negative center selects the grid's interior cell — callers that
-	// build workloads before the grid exists (scenario files,
-	// RunParallel) use it instead of Network.CenterCell.
+	// build workloads before the grid exists (scenario files) use it
+	// instead of Network.CenterCell.
 	center := func(c int) hexgrid.CellID {
 		if c < 0 {
 			return grid.InteriorCell()
@@ -680,46 +655,4 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 		return WorkloadStats{}, err
 	}
 	return workloadStats(ts), nil
-}
-
-// RunParallel builds the scenario on several shards and drives the
-// same workload RunWorkload would, including mobility: arrival, holding
-// and mobility randomness are per-cell substreams, so the run is
-// bit-identical to the one-shard RunWorkload trajectory at any shard
-// and worker count (WithShards/WithWorkers size the runner without
-// changing results). Scenario.Obs is not supported here (journals
-// would be schedule-dependent) and is ignored.
-func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats, error) {
-	c := applyOptions(sc, opts)
-	grid, assign, cfg, sc, err := buildParts(c.sc)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	factory, err := registry.Build(sc.Scheme, grid, assign, cfg)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, fmt.Errorf("adca: %w", err)
-	}
-	p, err := driver.NewParallel(grid, assign, factory, driver.ParallelOptions{
-		Latency: sim.Time(sc.LatencyTicks),
-		Jitter:  sim.Time(sc.JitterTicks),
-		Seed:    sc.Seed,
-		Check:   sc.CheckInterference,
-		Shards:  c.shards,
-		Workers: c.workers,
-	})
-	if err != nil {
-		return WorkloadStats{}, Stats{}, fmt.Errorf("adca: %w", err)
-	}
-	spec, err := workloadSpec(grid, w)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	ts, err := traffic.RunParallel(p, spec)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	if err := p.CheckInvariant(); err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	return workloadStats(ts), networkStats(p.Stats()), nil
 }

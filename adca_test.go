@@ -1,6 +1,8 @@
 package adca_test
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
@@ -162,10 +164,10 @@ func TestHandoffWorkloadRejectsNegativeRate(t *testing.T) {
 	}
 }
 
-// TestRunParallelWorkloadMatchesSerial: RunParallel at 7 and 16 shards
-// reproduces the one-shard Network's RunWorkload exactly — workload
-// stats and every driver statistic, float aggregates included (the
-// per-cell merge runs in ascending cell order at any shard count).
+// TestRunParallelWorkloadMatchesSerial: a Network at 7 and 16
+// shards reproduces the one-shard Network's RunWorkload exactly —
+// workload stats and every network statistic, float aggregates included
+// (the per-cell merge runs in ascending cell order at any shard count).
 func TestRunParallelWorkloadMatchesSerial(t *testing.T) {
 	sc := adca.Scenario{Wrap: true, Seed: 9, CheckInterference: true}
 	w := adca.Workload{
@@ -185,16 +187,90 @@ func TestRunParallelWorkloadMatchesSerial(t *testing.T) {
 		t.Fatal("workload too tame to exercise handoffs")
 	}
 	for _, shards := range []int{7, 16} {
-		par, st, err := adca.RunParallel(sc, w, adca.WithShards(shards))
+		sc.Shards = shards
+		par := adca.MustNew(sc)
+		ws, err := par.RunWorkload(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par != serial {
-			t.Errorf("shards=%d workload stats diverged:\n par    %+v\n serial %+v", shards, par, serial)
+		if ws != serial {
+			t.Errorf("shards=%d workload stats diverged:\n par    %+v\n serial %+v", shards, ws, serial)
 		}
-		if st != serialStats {
-			t.Errorf("shards=%d driver stats diverged:\n par    %+v\n serial %+v", shards, st, serialStats)
+		if st := par.Stats(); st != serialStats {
+			t.Errorf("shards=%d network stats diverged:\n par    %+v\n serial %+v", shards, st, serialStats)
 		}
+		if err := par.CheckInterference(); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
+		}
+	}
+}
+
+// TestNetworkShardsInteractive drives the request API directly — a
+// scheduled request, then enough direct requests at one cell to force
+// borrowing — on 7 shards with 2 workers, and checks that the clock,
+// the statistics, every Result and the metrics snapshot match the
+// one-shard run. Callbacks run concurrently on shard workers, so they
+// record under a mutex.
+func TestNetworkShardsInteractive(t *testing.T) {
+	type outcome struct {
+		now     []int64
+		stats   adca.Stats
+		results map[adca.RequestID]adca.Result
+		metrics map[string]float64
+	}
+	run := func(shards, workers int) outcome {
+		net := adca.MustNew(adca.Scenario{
+			Wrap: true, Seed: 5, CheckInterference: true,
+			Obs:    &adca.ObsConfig{},
+			Shards: shards, Workers: workers,
+		})
+		defer net.Close()
+		var mu sync.Mutex
+		out := outcome{results: map[adca.RequestID]adca.Result{}}
+		record := func(r adca.Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			out.results[r.ID] = r
+		}
+		center := net.CenterCell()
+		for i, cell := range []int{0, 17, 48} {
+			net.RequestAt(int64(100+40*i), cell, record)
+		}
+		if !net.RunUntilIdle() {
+			t.Fatalf("shards=%d: no quiescence", shards)
+		}
+		out.now = append(out.now, net.Now())
+		// Twice the primaries: the second half must borrow.
+		for i := 0; i < 2*len(net.Primaries(center)); i++ {
+			net.Request(center, record)
+		}
+		if !net.RunUntilIdle() {
+			t.Fatalf("shards=%d: no quiescence", shards)
+		}
+		out.now = append(out.now, net.Now())
+		if err := net.CheckInterference(); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		out.stats = net.Stats()
+		out.metrics = net.Metrics()
+		return out
+	}
+	one := run(1, 1)
+	if one.stats.UpdateGrants+one.stats.SearchGrants == 0 {
+		t.Fatalf("no request borrowed: %+v", one.stats)
+	}
+	many := run(7, 2)
+	if !reflect.DeepEqual(many.now, one.now) {
+		t.Errorf("Now diverged: 7 shards %v, one shard %v", many.now, one.now)
+	}
+	if many.stats != one.stats {
+		t.Errorf("stats diverged:\n 7 shards  %+v\n one shard %+v", many.stats, one.stats)
+	}
+	if !reflect.DeepEqual(many.results, one.results) {
+		t.Errorf("results diverged:\n 7 shards  %+v\n one shard %+v", many.results, one.results)
+	}
+	if !reflect.DeepEqual(many.metrics, one.metrics) {
+		t.Errorf("metrics diverged:\n 7 shards  %v\n one shard %v", many.metrics, one.metrics)
 	}
 }
 

@@ -26,6 +26,11 @@ func TestScenarioValidation(t *testing.T) {
 		{"negative latency", adca.Scenario{LatencyTicks: -10}, "LatencyTicks"},
 		{"negative jitter", adca.Scenario{JitterTicks: -1}, "JitterTicks"},
 		{"negative rounds", adca.Scenario{MaxRounds: -3}, "MaxRounds"},
+		{"negative shards", adca.Scenario{Shards: -1}, "Shards"},
+		{"negative workers", adca.Scenario{Workers: -2}, "Workers"},
+		{"journal on shards", adca.Scenario{
+			Shards: 7, Obs: &adca.ObsConfig{Journal: io.Discard},
+		}, "journal needs a single shard"},
 		{"theta low", adca.Scenario{
 			Adaptive: &adca.AdaptiveParams{ThetaLow: 0, ThetaHigh: 3, WindowTicks: 10},
 		}, "ThetaLow"},
@@ -249,7 +254,7 @@ func TestObsPreservesDeterminism(t *testing.T) {
 func TestJournalDeterministic(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		net := adca.MustNew(adca.Scenario{Wrap: true, Seed: 17}, adca.WithObs(adca.ObsConfig{Journal: &buf}))
+		net := adca.MustNew(adca.Scenario{Wrap: true, Seed: 17, Obs: &adca.ObsConfig{Journal: &buf}})
 		if _, err := net.RunWorkload(adca.Workload{
 			ErlangPerCell: 8, DurationTicks: 6_000, WarmupTicks: 600, Seed: 17,
 		}); err != nil {

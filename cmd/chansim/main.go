@@ -16,11 +16,11 @@
 //	chansim -erlang 9 -metrics :9090 -linger 1m -journal run.jsonl
 //	chansim -config scenarios/mobility.json -shards 16
 //
-// Scale: -shards N runs the scenario on N tiles advanced by -workers
-// goroutines; without it the scenario runs through the one-shard
-// facade (adca.New). The trajectory — including mobility (-handoff) —
-// is bit-identical at any shard and worker count; only
-// -metrics/-journal require the one-shard facade.
+// Scale: -shards N splits the grid into N tiles advanced by -workers
+// goroutines (adca.Scenario.Shards/Workers). The report — including
+// mobility (-handoff) — is byte-identical at any shard and worker
+// count, and -metrics works at any of them; only -journal needs one
+// shard (its record order would depend on worker scheduling).
 // -drain-horizon H truncates the post-duration drain H ticks after the
 // arrival window (held calls force-released in canonical order, the
 // measured window untouched; see DESIGN.md §9.8) — the way to run a
@@ -69,8 +69,8 @@ func main() {
 		warmStart    = flag.Bool("warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
 		drainHorizon = flag.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
 		seed         = flag.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
-		check        = flag.Bool("check", true, "verify the interference invariant (on every grant on one shard, at every window barrier with -shards)")
-		shards       = flag.Int("shards", 0, "run on this many shards (0 = one-shard facade)")
+		check        = flag.Bool("check", true, "verify the interference invariant (on every grant on one shard, at every window barrier with -shards > 1)")
+		shards       = flag.Int("shards", 0, "split the grid into this many shards (0 = one); results are the same at any count")
 		predictor    = flag.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
 		lender       = flag.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
 
@@ -82,7 +82,7 @@ func main() {
 		benchQuick = flag.Bool("bench-quick", false, "with -bench: shorter runs (CI smoke)")
 		benchOut   = flag.String("bench-out", "", "with -bench: write the JSON here instead of stdout")
 		benchOnly  = flag.String("bench-only", "", "with -bench: run only these comma-separated sections ("+strings.Join(experiments.BenchSections, ",")+")")
-		workers    = flag.Int("workers", 0, "with -bench: sweep pool width; with -shards: kernel worker goroutines (0 = NumCPU)")
+		workers    = flag.Int("workers", 0, "with -bench: sweep pool width; otherwise: goroutines advancing the shards (0 = NumCPU, capped at -shards)")
 	)
 	flag.Parse()
 	if *bench {
@@ -209,37 +209,21 @@ func main() {
 		w.HotCell = -1 // grid interior
 		w.HotRadius = hotRadius
 	}
-	if *shards > 0 {
-		// Sharded run: same trajectory as the one-shard facade
-		// (bit-identical stats at any shard/worker count), minus the
-		// observability sinks only the facade wires.
-		if *metricsAddr != "" || *journalPath != "" {
-			fmt.Fprintln(os.Stderr, "chansim: -metrics/-journal need the one-shard facade (drop -shards)")
-			os.Exit(1)
-		}
-		ws, st, err := adca.RunParallel(sc, w, adca.WithShards(*shards), adca.WithWorkers(*workers))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		scheme := sc.Scheme
-		if scheme == "" {
-			scheme = "adaptive"
-		}
-		fmt.Printf("driver            parallel (%d shards)\n", *shards)
-		printReport(scheme, ws, st, sc.LatencyTicks)
-		return
-	}
+	sc.Shards, sc.Workers = *shards, *workers
+	var journal *os.File
 	if *metricsAddr != "" || *journalPath != "" {
 		oc := &adca.ObsConfig{MetricsAddr: *metricsAddr}
 		if *journalPath != "" {
-			jf, err := os.Create(*journalPath)
+			// Opened without truncation: a run that New refuses (e.g.
+			// -journal with -shards > 1) must leave an existing file as
+			// it was. It is emptied once New has accepted the scenario.
+			jf, err := os.OpenFile(*journalPath, os.O_WRONLY|os.O_CREATE, 0o644)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			defer jf.Close()
-			oc.Journal = jf
+			oc.Journal, journal = jf, jf
 		}
 		sc.Obs = oc
 	}
@@ -249,6 +233,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer net.Close()
+	if journal != nil {
+		if err := journal.Truncate(0); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	if addr := net.MetricsAddr(); addr != "" {
 		fmt.Printf("metrics           http://%s/metrics\n", addr)
 	}
@@ -269,10 +259,9 @@ func main() {
 	}
 }
 
-// printReport renders the common scenario report: telephony outcomes
-// (including handoff drops, merged across shards on the parallel
-// driver), latency in units of T, message overhead and the adaptive
-// path mix.
+// printReport renders the scenario report: telephony outcomes
+// (including handoff drops), latency in units of T, message overhead
+// and the adaptive path mix.
 func printReport(scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
 	fmt.Printf("scheme            %s\n", scheme)
 	fmt.Printf("offered calls     %d\n", ws.Offered)

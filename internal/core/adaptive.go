@@ -236,7 +236,7 @@ type Adaptive struct {
 	// u[k] is U_j for j = neighbors[k], all windowed into one flat
 	// backing array (two allocations per cell, not one per neighbor).
 	u     []chanset.Set
-	iCnt  []int16 // per-channel count of neighbors believed to use it
+	iCnt  []int16     // per-channel count of neighbors believed to use it
 	inter chanset.Set // I_i: bit set iff iCnt > 0
 	// granted[k] holds channels we granted to neighbors[k] that it has
 	// not yet visibly acquired or released. A borrowing-update winner

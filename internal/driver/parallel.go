@@ -70,9 +70,6 @@ type ParallelOptions struct {
 	// send, decode on delivery), validating serialization against live
 	// traffic and accounting wire bytes in Stats.Messages.Bytes.
 	Wire bool
-	// DelayBuckets sizes the acquisition-delay histogram in units of
-	// Latency (default 64 buckets of T/2).
-	DelayBuckets int
 	// Obs, when non-nil, binds driver-level instruments into the
 	// registry: request outcomes, the outstanding-request gauge, the
 	// acquisition-delay histogram and the transport message counter.
@@ -97,9 +94,6 @@ func (o *ParallelOptions) applyDefaults(cells int) {
 	if o.Latency == 0 {
 		o.Latency = 10
 	}
-	if o.DelayBuckets == 0 {
-		o.DelayBuckets = 64
-	}
 	if o.Shards == 0 {
 		o.Shards = 16
 		if cells < o.Shards {
@@ -113,6 +107,10 @@ func (o *ParallelOptions) applyDefaults(cells int) {
 		o.Workers = o.Shards
 	}
 }
+
+// delayBuckets sizes the acquisition-delay histogram behind
+// Stats.DelayP95: 64 buckets of T/2 each.
+const delayBuckets = 64
 
 // Result describes a completed channel request.
 type Result struct {
@@ -313,7 +311,7 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.pending = make(map[alloc.RequestID]*pendingReq)
-		sh.delayHist = metrics.NewHistogram(float64(opts.Latency)/2, opts.DelayBuckets)
+		sh.delayHist = metrics.NewHistogram(float64(opts.Latency)/2, delayBuckets)
 		if opts.TraceSize > 0 {
 			sh.ring = trace.NewRing(opts.TraceSize)
 		}
@@ -648,7 +646,7 @@ func (p *Parallel) Stats() Stats {
 		CellGrants: make([]uint64, len(p.cells)),
 		CellDenies: make([]uint64, len(p.cells)),
 	}
-	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, p.opts.DelayBuckets)
+	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, delayBuckets)
 	for i := range p.shards {
 		sh := &p.shards[i]
 		st.Grants += sh.grants

@@ -575,10 +575,24 @@ func (k *Shards) Run(workers int, until Time) uint64 {
 
 // Drain runs windows until no events remain or maxEvents callbacks have
 // run (checked at window granularity), whichever is first. It reports
-// whether the queues emptied.
+// whether the queues emptied. When they did, every clock is parked at
+// the latest time any shard reached — the time of the last event — the
+// way Run parks them at until, so the post-drain clock (and anything
+// scheduled relative to it) is the same at every shard count. On the
+// backstop path the clocks stay where the windows left them.
 func (k *Shards) Drain(workers int, maxEvents uint64) bool {
 	k.run(workers, math.MaxInt64, maxEvents)
-	return k.Pending() == 0
+	if k.Pending() != 0 {
+		return false
+	}
+	last := k.shards[0].now
+	for i := range k.shards {
+		last = max(last, k.shards[i].now)
+	}
+	for i := range k.shards {
+		k.shards[i].now = last
+	}
+	return true
 }
 
 func (k *Shards) run(workers int, until Time, maxEvents uint64) uint64 {

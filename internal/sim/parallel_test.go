@@ -103,6 +103,24 @@ func TestShardsRunUntil(t *testing.T) {
 	}
 }
 
+// TestShardsDrainParksClocks: after a Drain that empties the queues,
+// every shard clock reads the time of the last event executed anywhere,
+// so the post-drain clock does not depend on which shard ran last.
+func TestShardsDrainParksClocks(t *testing.T) {
+	k := NewShards(3, 4, 3)
+	for s, at := range []Time{33, 57, 45} {
+		k.At(s, at, int32(s), func() {})
+	}
+	if !k.Drain(1, 10) {
+		t.Fatal("drain did not empty the queue")
+	}
+	for s := 0; s < 3; s++ {
+		if k.Now(s) != 57 {
+			t.Fatalf("shard %d clock = %d after drain, want 57", s, k.Now(s))
+		}
+	}
+}
+
 // TestShardsDeterminismAcrossWorkers runs a cascading cross-shard
 // workload at several worker counts and asserts identical per-origin
 // execution logs (per-origin slices are written only by the owning

@@ -7,15 +7,16 @@ import (
 	"repro"
 )
 
-// The facade's policy surface: option composition, name validation, and
-// the deprecated-wrapper equivalence.
+// The facade's policy surface: Scenario.Predictor/Lender composition,
+// name validation, and shard-count invariance of a non-default pair.
 
 func TestPolicyOptionCompose(t *testing.T) {
-	sc := adca.Scenario{Wrap: true, Seed: 3}
-	net, err := adca.New(sc,
-		adca.WithPredictor("ewma", map[string]float64{"alpha": 0.2}),
-		adca.WithLender("interference-aware", nil),
-		adca.WithObs(adca.ObsConfig{}))
+	net, err := adca.New(adca.Scenario{
+		Wrap: true, Seed: 3,
+		Predictor: &adca.PolicySpec{Name: "ewma", Params: map[string]float64{"alpha": 0.2}},
+		Lender:    &adca.PolicySpec{Name: "interference-aware"},
+		Obs:       &adca.ObsConfig{},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +29,13 @@ func TestPolicyOptionCompose(t *testing.T) {
 		t.Fatal("no traffic offered")
 	}
 	if net.Metrics() == nil {
-		t.Fatal("WithObs did not enable metrics")
+		t.Fatal("Scenario.Obs did not enable metrics")
 	}
 }
 
 func TestPolicyOptionsChangeTrajectory(t *testing.T) {
-	run := func(opts ...adca.Option) adca.Stats {
-		net, err := adca.New(adca.Scenario{Wrap: true, Seed: 3}, opts...)
+	run := func(predictor, lender *adca.PolicySpec) adca.Stats {
+		net, err := adca.New(adca.Scenario{Wrap: true, Seed: 3, Predictor: predictor, Lender: lender})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,24 +46,24 @@ func TestPolicyOptionsChangeTrajectory(t *testing.T) {
 		}
 		return net.Stats()
 	}
-	def := run()
-	same := run(adca.WithPredictor("linear", nil), adca.WithLender("best", nil))
+	def := run(nil, nil)
+	same := run(&adca.PolicySpec{Name: "linear"}, &adca.PolicySpec{Name: "best"})
 	if def != same {
 		t.Errorf("explicit default policies changed the trajectory:\n def  %+v\n same %+v", def, same)
 	}
-	other := run(adca.WithPredictor("last-value", nil), adca.WithLender("reused-frequency", nil))
+	other := run(&adca.PolicySpec{Name: "last-value"}, &adca.PolicySpec{Name: "reused-frequency"})
 	if def == other {
 		t.Error("non-default policies produced the default trajectory (seam not plumbed?)")
 	}
 }
 
 func TestUnknownPolicyNamesError(t *testing.T) {
-	if _, err := adca.New(adca.Scenario{}, adca.WithPredictor("oracle", nil)); err == nil {
+	if _, err := adca.New(adca.Scenario{Predictor: &adca.PolicySpec{Name: "oracle"}}); err == nil {
 		t.Fatal("unknown predictor accepted")
 	} else if !strings.Contains(err.Error(), "oracle") || !strings.Contains(err.Error(), "linear") {
 		t.Fatalf("predictor error unhelpful: %v", err)
 	}
-	if _, err := adca.New(adca.Scenario{}, adca.WithLender("greedy", nil)); err == nil {
+	if _, err := adca.New(adca.Scenario{Lender: &adca.PolicySpec{Name: "greedy"}}); err == nil {
 		t.Fatal("unknown lender accepted")
 	} else if !strings.Contains(err.Error(), "greedy") || !strings.Contains(err.Error(), "best") {
 		t.Fatalf("lender error unhelpful: %v", err)
@@ -83,33 +84,33 @@ func TestPolicyRegistriesExported(t *testing.T) {
 	}
 }
 
-// TestRunParallelPolicyOptions drives a non-default pair through the
-// sharded runner and checks serial equality — the seam must stay
-// deterministic under the parallel kernel through the facade too.
+// TestRunParallelPolicyOptions drives a non-default pair on 7 and 16
+// shards and checks equality with one shard — the seam must stay
+// deterministic under the sharded kernel through the facade too.
 func TestRunParallelPolicyOptions(t *testing.T) {
-	sc := adca.Scenario{Wrap: true, Seed: 4}
+	sc := adca.Scenario{
+		Wrap: true, Seed: 4,
+		Predictor: &adca.PolicySpec{Name: "damped-trend"},
+		Lender:    &adca.PolicySpec{Name: "reused-frequency"},
+	}
 	w := adca.Workload{ErlangPerCell: 8, DurationTicks: 15_000, WarmupTicks: 1_500, Seed: 4}
-	opts := []adca.Option{
-		adca.WithPredictor("damped-trend", nil),
-		adca.WithLender("reused-frequency", nil),
+	run := func(shards int) (adca.WorkloadStats, adca.Stats) {
+		sc.Shards = shards
+		net := adca.MustNew(sc)
+		ws, err := net.RunWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ws, net.Stats()
 	}
-	net, err := adca.New(sc, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := net.RunWorkload(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialStats := net.Stats()
-	par, st, err := adca.RunParallel(sc, w, append(opts, adca.WithShards(7))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par != serial {
-		t.Errorf("parallel workload stats diverged:\n par    %+v\n serial %+v", par, serial)
-	}
-	if st != serialStats {
-		t.Errorf("parallel driver stats diverged:\n par    %+v\n serial %+v", st, serialStats)
+	serial, serialStats := run(0)
+	for _, shards := range []int{7, 16} {
+		ws, st := run(shards)
+		if ws != serial {
+			t.Errorf("shards=%d workload stats diverged:\n par    %+v\n serial %+v", shards, ws, serial)
+		}
+		if st != serialStats {
+			t.Errorf("shards=%d network stats diverged:\n par    %+v\n serial %+v", shards, st, serialStats)
+		}
 	}
 }
